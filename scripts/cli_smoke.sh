@@ -111,6 +111,9 @@ expect_error 1 "--cache-max-mb requires --cache-dir" \
     sweep --plan "$TMP/plan.sweep" --cache-max-mb 64
 expect_error 1 "--plan FILE required" sweep
 expect_error 1 "cannot read" sweep --plan "$TMP/no_such_plan.sweep"
+# 2^64 + 1 is out of range: rejected, never wrapped to shard 1/2.
+expect_error 1 "expected '<i>/<N>' with decimal numbers" \
+    sweep --plan "$TMP/plan.sweep" --shard 18446744073709551617/2
 
 # orchestrate argument misuse.
 expect_error 1 "--plan FILE and --out-dir DIR required" \

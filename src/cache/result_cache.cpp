@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "orch/faultpoint.hpp"
+#include "util/config.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::cache {
@@ -19,54 +20,10 @@ namespace railcorr::cache {
 namespace {
 
 namespace fs = std::filesystem;
+using util::fnv1a64;
+using util::hex16;
 
 constexpr std::string_view kMagicPrefix = "# railcorr-cache-v1 schema=";
-
-std::uint64_t fnv1a64(std::string_view data,
-                      std::uint64_t hash = 0xCBF29CE484222325ULL) {
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
-std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-
-bool parse_hex16(std::string_view text, std::uint64_t& out) {
-  if (text.size() != 16) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c >= '0' && c <= '9') {
-      value = (value << 4) | static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value = (value << 4) | static_cast<std::uint64_t>(10 + c - 'a');
-    } else {
-      return false;
-    }
-  }
-  out = value;
-  return true;
-}
-
-bool parse_decimal(std::string_view text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
 
 /// Evictors (and corrupt-segment droppers) must not race each other on
 /// the same file: the first to create `<path>.lock` owns the unlink.
@@ -194,9 +151,8 @@ SegmentParse parse_segment(std::string_view document) {
     parse.error = "bad magic line '" + std::string(magic) + "'";
     return parse;
   }
-  std::size_t schema = 0;
-  if (!parse_decimal(magic.substr(kMagicPrefix.size()), schema) ||
-      schema != kResultSchemaVersion) {
+  if (util::parse_decimal(magic.substr(kMagicPrefix.size())) !=
+      kResultSchemaVersion) {
     // A foreign schema is not corruption, but its rows mean something
     // else; dropping the segment is the only safe read.
     parse.error = "unsupported schema in '" + std::string(magic) + "'";
@@ -221,23 +177,22 @@ SegmentParse parse_segment(std::string_view document) {
       parse.error = "malformed entry line '" + std::string(line) + "'";
       return parse;
     }
-    SegmentEntry entry;
-    std::size_t length = 0;
-    if (!parse_hex16(fields.substr(0, space), entry.key) ||
-        !parse_decimal(fields.substr(space + 1), length)) {
+    const auto key = util::parse_hex16(fields.substr(0, space));
+    const auto length = util::parse_decimal(fields.substr(space + 1));
+    if (!key.has_value() || !length.has_value()) {
       parse.error = "malformed entry key/length in '" + std::string(line) +
                     "'";
       return parse;
     }
     // The payload is length-prefixed raw bytes plus one separator
     // newline; anything shorter is truncation.
-    if (rest.size() < length + 1 || rest[length] != '\n') {
+    if (rest.size() <= *length || rest[*length] != '\n') {
       parse.error = "truncated entry payload";
       return parse;
     }
-    entry.row = std::string(rest.substr(0, length));
-    rest.remove_prefix(length + 1);
-    parse.entries.push_back(std::move(entry));
+    parse.entries.push_back(
+        SegmentEntry{*key, std::string(rest.substr(0, *length))});
+    rest.remove_prefix(*length + 1);
   }
   parse.ok = true;
   return parse;

@@ -72,24 +72,16 @@ std::optional<ParsedShard> parse_shard(std::string_view document,
       continue;
     }
     const std::size_t comma = line.find(',');
-    std::size_t index = 0;
-    bool numeric = comma != std::string_view::npos && comma > 0;
-    if (numeric) {
-      for (const char c : line.substr(0, comma)) {
-        if (c < '0' || c > '9') {
-          numeric = false;
-          break;
-        }
-        index = index * 10 + static_cast<std::size_t>(c - '0');
-      }
-    }
-    if (!numeric) {
+    const auto index = comma == std::string_view::npos
+                           ? std::nullopt
+                           : util::parse_decimal(line.substr(0, comma));
+    if (!index.has_value()) {
       errors.push_back(label + " line " + std::to_string(line_no) +
                        ": expected '<index>,...', got '" + std::string(line) +
                        "'");
       return std::nullopt;
     }
-    shard.rows.emplace_back(index, std::string(line));
+    shard.rows.emplace_back(*index, std::string(line));
   }
   if (shard.banner.empty() || shard.header.empty()) {
     errors.push_back(label + ": truncated document (banner or header missing)");
@@ -200,31 +192,22 @@ std::string SweepPlan::canonical_spec() const {
 }
 
 std::uint64_t SweepPlan::fingerprint() const {
-  // FNV-1a 64.
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const char c : canonical_spec()) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
+  return util::fnv1a64(canonical_spec());
 }
 
 ShardSpec ShardSpec::parse(std::string_view text) {
   const std::size_t slash = text.find('/');
   auto parse_part = [&](std::string_view part, const char* what) {
-    std::size_t value = 0;
     if (part.empty()) {
       throw ConfigError("shard spec '" + std::string(text) + "': missing " +
                         what);
     }
-    for (const char c : part) {
-      if (c < '0' || c > '9') {
-        throw ConfigError("shard spec '" + std::string(text) +
-                          "': expected '<i>/<N>' with decimal numbers");
-      }
-      value = value * 10 + static_cast<std::size_t>(c - '0');
+    const auto value = util::parse_decimal(part);
+    if (!value.has_value()) {
+      throw ConfigError("shard spec '" + std::string(text) +
+                        "': expected '<i>/<N>' with decimal numbers");
     }
-    return value;
+    return *value;
   };
   if (slash == std::string_view::npos) {
     throw ConfigError("shard spec '" + std::string(text) +
@@ -246,56 +229,16 @@ std::vector<std::size_t> ShardSpec::indices(std::size_t grid_size) const {
   return out;
 }
 
-std::string fingerprint_hex(std::uint64_t fingerprint) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[fingerprint & 0xF];
-    fingerprint >>= 4;
-  }
-  return out;
-}
-
-std::optional<std::uint64_t> banner_fingerprint(std::string_view banner) {
-  const std::size_t at = banner.find(" fingerprint=");
-  if (at == std::string_view::npos) return std::nullopt;
-  std::uint64_t value = 0;
-  std::size_t digits = 0;
-  for (std::size_t i = at + 13; i < banner.size(); ++i) {
-    const char c = banner[i];
-    int nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = 10 + (c - 'a');
-    } else {
-      break;
-    }
-    value = (value << 4) | static_cast<std::uint64_t>(nibble);
-    ++digits;
-  }
-  if (digits != 16) return std::nullopt;
-  return value;
-}
-
 std::optional<std::size_t> banner_grid(std::string_view banner) {
   const std::size_t at = banner.find(" grid=");
   if (at == std::string_view::npos) return std::nullopt;
-  std::size_t value = 0;
-  bool any = false;
-  for (std::size_t i = at + 6; i < banner.size(); ++i) {
-    const char c = banner[i];
-    if (c < '0' || c > '9') break;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-    any = true;
-  }
-  if (!any) return std::nullopt;
-  return value;
+  std::string_view rest = banner.substr(at + 6);
+  return util::take_decimal(rest);
 }
 
 std::string shard_banner(const SweepPlan& plan) {
   std::string banner = "# railcorr-sweep-v1 fingerprint=" +
-                       fingerprint_hex(plan.fingerprint()) +
+                       util::hex16(plan.fingerprint()) +
                        " grid=" + std::to_string(plan.size());
   // Fast-accuracy runs are deterministic but not byte-stable against
   // the default mode, so tag their documents: merge compares banners

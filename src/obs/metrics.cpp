@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 
+#include "util/config.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::obs {
@@ -47,16 +48,11 @@ class Scanner {
 
   bool parse_u64(std::uint64_t& out) {
     skip_ws();
-    const std::size_t start = i_;
-    std::uint64_t value = 0;
-    while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') {
-      const std::uint64_t digit = static_cast<std::uint64_t>(s_[i_] - '0');
-      if (value > (UINT64_MAX - digit) / 10) return false;
-      value = value * 10 + digit;
-      ++i_;
-    }
-    if (i_ == start) return false;
-    out = value;
+    std::string_view rest = s_.substr(i_);
+    const auto value = util::take_decimal(rest);
+    if (!value.has_value()) return false;
+    i_ = s_.size() - rest.size();
+    out = *value;
     return true;
   }
 

@@ -34,15 +34,12 @@ std::size_t parse_param(std::string_view text, std::string_view spec) {
   if (text.empty()) {
     throw ConfigError("fault spec '" + std::string(spec) + "': empty value");
   }
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw ConfigError("fault spec '" + std::string(spec) +
-                        "': expected a decimal value");
-    }
-    value = value * 10 + static_cast<std::size_t>(c - '0');
+  const auto value = util::parse_decimal(text);
+  if (!value.has_value()) {
+    throw ConfigError("fault spec '" + std::string(spec) +
+                      "': expected a decimal value");
   }
-  return value;
+  return *value;
 }
 
 }  // namespace

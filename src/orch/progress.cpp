@@ -1,7 +1,8 @@
 #include "orch/progress.hpp"
 
 #include <chrono>
-#include <map>
+
+#include "util/config.hpp"
 
 namespace railcorr::orch {
 
@@ -21,15 +22,9 @@ bool take_field(std::string_view& rest, std::string_view name,
   rest.remove_prefix(name.size());
   if (rest.empty() || rest.front() != '=') return false;
   rest.remove_prefix(1);
-  std::size_t value = 0;
-  bool any = false;
-  while (!rest.empty() && rest.front() >= '0' && rest.front() <= '9') {
-    value = value * 10 + static_cast<std::size_t>(rest.front() - '0');
-    rest.remove_prefix(1);
-    any = true;
-  }
-  if (!any) return false;
-  out = value;
+  const auto value = util::take_decimal(rest);
+  if (!value.has_value()) return false;
+  out = *value;
   return true;
 }
 
@@ -57,15 +52,6 @@ std::string cache_line(std::size_t hits, std::size_t misses) {
          " misses=" + std::to_string(misses);
 }
 
-std::string metrics_line(
-    const std::vector<std::pair<std::string, std::size_t>>& metrics) {
-  std::string line = std::string(kMagic) + "metrics";
-  for (const auto& [key, value] : metrics) {
-    line += " " + key + "=" + std::to_string(value);
-  }
-  return line;
-}
-
 std::string heartbeat_line() { return std::string(kMagic) + "heartbeat"; }
 
 std::string done_line(std::size_t rows) {
@@ -90,15 +76,9 @@ std::optional<ProgressEvent> parse_progress_line(std::string_view line) {
     }
     if (rest.empty() || rest.front() != '/') return std::nullopt;
     rest.remove_prefix(1);
-    std::size_t count = 0;
-    bool any = false;
-    while (!rest.empty() && rest.front() >= '0' && rest.front() <= '9') {
-      count = count * 10 + static_cast<std::size_t>(rest.front() - '0');
-      rest.remove_prefix(1);
-      any = true;
-    }
-    if (!any) return std::nullopt;
-    event.shard_count = count;
+    const auto count = util::take_decimal(rest);
+    if (!count.has_value()) return std::nullopt;
+    event.shard_count = *count;
     if (!take_field(rest, "cells", event.cells, /*leading_space=*/true)) {
       return std::nullopt;
     }
@@ -129,40 +109,6 @@ std::optional<ProgressEvent> parse_progress_line(std::string_view line) {
     }
     return rest.empty() ? std::optional<ProgressEvent>(event) : std::nullopt;
   }
-  if (rest.starts_with("metrics ")) {
-    rest.remove_prefix(8);
-    event.kind = ProgressEvent::Kind::kMetrics;
-    for (;;) {
-      std::string key;
-      while (!rest.empty()) {
-        const char c = rest.front();
-        const bool key_char = (c >= 'a' && c <= 'z') ||
-                              (c >= 'A' && c <= 'Z') ||
-                              (c >= '0' && c <= '9') || c == '_' ||
-                              c == '.' || c == '-';
-        if (!key_char) break;
-        key.push_back(c);
-        rest.remove_prefix(1);
-      }
-      if (key.empty() || rest.empty() || rest.front() != '=') {
-        return std::nullopt;
-      }
-      rest.remove_prefix(1);
-      std::size_t value = 0;
-      bool any = false;
-      while (!rest.empty() && rest.front() >= '0' && rest.front() <= '9') {
-        value = value * 10 + static_cast<std::size_t>(rest.front() - '0');
-        rest.remove_prefix(1);
-        any = true;
-      }
-      if (!any) return std::nullopt;
-      event.metrics.emplace_back(std::move(key), value);
-      if (rest.empty()) break;
-      if (rest.front() != ' ') return std::nullopt;
-      rest.remove_prefix(1);
-    }
-    return event;
-  }
   if (rest == "heartbeat") {
     event.kind = ProgressEvent::Kind::kHeartbeat;
     return event;
@@ -186,7 +132,6 @@ ProgressAggregator::ProgressAggregator(std::size_t grid_cells,
       shard_done_(shard_count, false),
       shard_cache_hits_(shard_count, 0),
       shard_cache_misses_(shard_count, 0),
-      shard_metrics_(shard_count),
       shard_timings_(shard_count) {}
 
 void ProgressAggregator::on_event(std::size_t shard,
@@ -223,12 +168,6 @@ void ProgressAggregator::on_event(std::size_t shard,
         shard_cache_misses_[shard] = event.misses;
       }
       break;
-    case ProgressEvent::Kind::kMetrics:
-      // Latest report wins, exactly like the cache tally.
-      if (shard < shard_metrics_.size()) {
-        shard_metrics_[shard] = event.metrics;
-      }
-      break;
     case ProgressEvent::Kind::kStart:
     case ProgressEvent::Kind::kHeartbeat:
       // Heartbeats are pure liveness: the orchestrator's stall clock
@@ -248,15 +187,6 @@ std::size_t ProgressAggregator::cache_misses() const {
   std::size_t total = 0;
   for (const std::size_t misses : shard_cache_misses_) total += misses;
   return total;
-}
-
-std::vector<std::pair<std::string, std::size_t>>
-ProgressAggregator::metric_totals() const {
-  std::map<std::string, std::size_t> totals;
-  for (const auto& shard : shard_metrics_) {
-    for (const auto& [key, value] : shard) totals[key] += value;
-  }
-  return {totals.begin(), totals.end()};
 }
 
 void ProgressAggregator::on_shard_complete(std::size_t shard) {

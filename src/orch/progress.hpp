@@ -11,7 +11,6 @@
 ///     @railcorr 1 start shard=<i>/<N> cells=<n>
 ///     @railcorr 1 cell index=<grid index> done=<k> total=<n> usec=<t>
 ///     @railcorr 1 cache hits=<h> misses=<m>
-///     @railcorr 1 metrics <key>=<v> [<key>=<v> ...]
 ///     @railcorr 1 heartbeat
 ///     @railcorr 1 done rows=<n>
 ///
@@ -23,10 +22,7 @@
 /// The cell event's `usec` field carries the cell's compute wall time
 /// (microseconds); it is optional on parse (older workers omit it) and
 /// feeds the aggregator's per-shard timing summary — the input adaptive
-/// shard sizing needs. The metrics event snapshots the worker's
-/// counter registry (obs/metrics.hpp), keys restricted to
-/// [A-Za-z0-9_.-]; like the cache tally, the aggregator keeps the
-/// latest report per shard.
+/// shard sizing needs.
 ///
 /// The heartbeat event carries no payload and is ignored by the
 /// aggregator's tallies; its only job is liveness. A worker grinding
@@ -57,22 +53,13 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace railcorr::orch {
 
 /// One parsed protocol event.
 struct ProgressEvent {
-  enum class Kind {
-    kBanner,
-    kStart,
-    kCell,
-    kCache,
-    kMetrics,
-    kHeartbeat,
-    kDone
-  };
+  enum class Kind { kBanner, kStart, kCell, kCache, kHeartbeat, kDone };
   Kind kind = Kind::kBanner;
   /// kBanner: the shard banner, verbatim.
   std::string banner;
@@ -89,8 +76,6 @@ struct ProgressEvent {
   /// kCache: the worker's result-cache lookup tallies.
   std::size_t hits = 0;
   std::size_t misses = 0;
-  /// kMetrics: the worker's counter snapshot, sorted by key.
-  std::vector<std::pair<std::string, std::size_t>> metrics;
   /// kDone: CSV rows written (excluding banner + header).
   std::size_t rows = 0;
 };
@@ -103,10 +88,6 @@ std::string start_line(std::size_t shard, std::size_t shard_count,
 std::string cell_line(std::size_t index, std::size_t done, std::size_t total,
                       std::size_t usec = 0);
 std::string cache_line(std::size_t hits, std::size_t misses);
-/// Keys must be non-empty and drawn from [A-Za-z0-9_.-]; at least one
-/// pair is required (an empty snapshot emits no line at all).
-std::string metrics_line(
-    const std::vector<std::pair<std::string, std::size_t>>& metrics);
 std::string heartbeat_line();
 std::string done_line(std::size_t rows);
 ///@}
@@ -141,12 +122,6 @@ class ProgressAggregator {
   /// (no --cache-dir).
   [[nodiscard]] std::size_t cache_hits() const;
   [[nodiscard]] std::size_t cache_misses() const;
-
-  /// Fleet-wide counter totals: the sum over shards of each shard's
-  /// latest `metrics` report, keyed by counter name (sorted). Empty
-  /// when no worker reported one (workers without --metrics).
-  [[nodiscard]] std::vector<std::pair<std::string, std::size_t>>
-  metric_totals() const;
 
   /// Per-shard compute-time summary, fed by the cell events' `usec`
   /// field. Only first-seen cells accumulate (like cells_done), so a
@@ -184,9 +159,6 @@ class ProgressAggregator {
   /// Latest cache report per shard (a retried attempt overwrites).
   std::vector<std::size_t> shard_cache_hits_;
   std::vector<std::size_t> shard_cache_misses_;
-  /// Latest metrics report per shard (a retried attempt overwrites).
-  std::vector<std::vector<std::pair<std::string, std::size_t>>>
-      shard_metrics_;
   std::vector<ShardTiming> shard_timings_;
   std::string banner_;
   std::vector<std::string> banner_errors_;

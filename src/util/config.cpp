@@ -7,6 +7,9 @@ namespace railcorr::util {
 
 namespace {
 
+/// Lowercase only: the encoder's table is also the decoder's alphabet.
+constexpr std::string_view kHexDigits = "0123456789abcdef";
+
 std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
     s.remove_prefix(1);
@@ -121,6 +124,49 @@ std::string format_u64(std::uint64_t value) {
 
 std::string format_bool(bool value) {
   return value ? "true" : "false";
+}
+
+std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed) {
+  for (const char c : data) {
+    seed ^= static_cast<unsigned char>(c);
+    seed *= 0x100000001B3ULL;
+  }
+  return seed;
+}
+
+std::string hex16(std::uint64_t value) {
+  std::string out(16, '0');
+  for (auto it = out.rbegin(); it != out.rend(); ++it, value >>= 4) {
+    *it = kHexDigits[value & 0xF];
+  }
+  return out;
+}
+
+std::optional<std::uint64_t> parse_hex16(std::string_view text) {
+  if (text.size() != 16) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    const std::size_t nibble = kHexDigits.find(c);
+    if (nibble == std::string_view::npos) return std::nullopt;
+    value = value << 4 | nibble;
+  }
+  return value;
+}
+
+std::optional<std::uint64_t> parse_decimal(std::string_view text) {
+  const auto value = take_decimal(text);
+  return text.empty() ? value : std::nullopt;
+}
+
+std::optional<std::uint64_t> take_decimal(std::string_view& rest) {
+  // from_chars rejects signs for unsigned types and reports a digit run
+  // past UINT64_MAX as out of range instead of wrapping it.
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(rest.data(), rest.data() + rest.size(), value);
+  if (ec != std::errc{}) return std::nullopt;
+  rest.remove_prefix(static_cast<std::size_t>(ptr - rest.data()));
+  return value;
 }
 
 }  // namespace railcorr::util

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -71,6 +72,36 @@ std::string format_double(double value);
 std::string format_int(int value);
 std::string format_u64(std::uint64_t value);
 std::string format_bool(bool value);
+///@}
+
+/// \name Text codecs
+/// The one home of the hash and number codecs shared by every on-disk
+/// and wire format: shard banners, manifests, cache segments, integrity
+/// trailers, the progress protocol, trace and metrics documents. The
+/// decoders are strict: a number too large for 64 bits is rejected,
+/// never wrapped.
+///@{
+inline constexpr std::uint64_t kFnv1a64Basis = 0xCBF29CE484222325ULL;
+
+/// FNV-1a 64 over `data`, continuing from `seed`, so
+/// fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
+std::uint64_t fnv1a64(std::string_view data,
+                      std::uint64_t seed = kFnv1a64Basis);
+
+/// Fixed-width lowercase hex: always 16 digits.
+std::string hex16(std::uint64_t value);
+
+/// The inverse of hex16: exactly 16 digits from [0-9a-f].
+std::optional<std::uint64_t> parse_hex16(std::string_view text);
+
+/// An unsigned decimal spanning all of `text`: one or more digits, no
+/// sign, no whitespace.
+std::optional<std::uint64_t> parse_decimal(std::string_view text);
+
+/// The unsigned decimal at the front of `rest`, consumed on success;
+/// std::nullopt (nothing consumed) when `rest` does not start with a
+/// digit or the digit run overflows.
+std::optional<std::uint64_t> take_decimal(std::string_view& rest);
 ///@}
 
 }  // namespace railcorr::util

@@ -5,8 +5,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdint>
 #include <cstring>
+
+#include "util/config.hpp"
 
 namespace railcorr::util {
 
@@ -48,25 +49,6 @@ bool fsync_dir(const std::string& dir, std::string* error) {
   }
   ::close(fd);
   return true;
-}
-
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
-std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
 }
 
 constexpr std::string_view kTrailerTag = "@railcorr-crc ";
@@ -186,20 +168,8 @@ TrailerCheck check_integrity_trailer(std::string_view document) {
   // own trailing newline), which is exactly what was hashed.
   check.body =
       eol == std::string_view::npos ? std::string_view{} : document.substr(0, eol + 1);
-  const std::string_view hex = last.substr(kTrailerTag.size());
-  std::uint64_t value = 0;
-  bool well_formed = hex.size() == 16;
-  for (const char c : hex) {
-    if (c >= '0' && c <= '9') {
-      value = (value << 4) | static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value = (value << 4) | static_cast<std::uint64_t>(10 + c - 'a');
-    } else {
-      well_formed = false;
-      break;
-    }
-  }
-  check.status = well_formed && value == fnv1a64(check.body)
+  check.status = parse_hex16(last.substr(kTrailerTag.size())) ==
+                         fnv1a64(check.body)
                      ? TrailerStatus::kVerified
                      : TrailerStatus::kCorrupt;
   return check;

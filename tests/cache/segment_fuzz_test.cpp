@@ -126,6 +126,10 @@ TEST(SegmentFuzz, TrailerValidStructuralDamageIsStillRejected) {
       "# railcorr-cache-v1 schema=1\nentry 0123456789abcdef\nabc\n",
       // Truncated mid-payload (no separator newline).
       "# railcorr-cache-v1 schema=1\nentry 0123456789abcdef 3\nab",
+      // Numbers past 2^64 must not wrap (to length 3 / schema 1).
+      "# railcorr-cache-v1 schema=1\n"
+      "entry 0123456789abcdef 18446744073709551619\nabc\n",
+      "# railcorr-cache-v1 schema=18446744073709551617\n",
   };
   for (const auto& damaged : damaged_bodies) {
     const auto parse = parse_segment(util::with_integrity_trailer(damaged));

@@ -68,6 +68,9 @@ TEST_F(FaultpointTest, SpecsParseAndRoundTripTheirCanonicalSpelling) {
 
 TEST_F(FaultpointTest, MalformedSpecsAreRejected) {
   EXPECT_THROW(parse_fault_spec("unknown-fault"), util::ConfigError);
+  // 2^64 + 1 is out of range, not kill=1.
+  EXPECT_THROW(parse_fault_spec("kill=18446744073709551617"),
+               util::ConfigError);
   EXPECT_THROW(parse_fault_spec(""), util::ConfigError);
   // Parameter required but missing.
   EXPECT_THROW(parse_fault_spec("torn-write"), util::ConfigError);

@@ -60,6 +60,24 @@ TEST(RunManifest, ParseRejectsMalformedDocuments) {
   EXPECT_THROW(
       RunManifest::parse("# railcorr-orchestrate-v1\nfingerprint = zzz\n"),
       util::ConfigError);
+  // 2^64 + 1 is out of range wherever a count or index is expected; it
+  // must not wrap to 1.
+  const std::string huge = "18446744073709551617";
+  const auto replace = [](std::string text, const std::string& from,
+                          const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  const std::string header = manifest.header_text();
+  EXPECT_THROW(
+      RunManifest::parse(replace(header, "grid = 4", "grid = " + huge)),
+      util::ConfigError);
+  EXPECT_THROW(
+      RunManifest::parse(replace(header, "shards = 2", "shards = " + huge)),
+      util::ConfigError);
+  EXPECT_THROW(RunManifest::parse(header + "done " + huge + " x.csv\n"),
+               util::ConfigError);
 }
 
 TEST(RunManifest, FailLinesRoundTripWithClassifiedCauses) {

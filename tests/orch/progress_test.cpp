@@ -89,6 +89,21 @@ TEST(ProgressProtocol, NonProtocolLinesAreIgnored) {
   EXPECT_FALSE(
       parse_progress_line("@railcorr 1 cell index=0 done=1 total=1 junk")
           .has_value());
+  // 2^64 + 1 overflows: rejected, never wrapped to index 1.
+  EXPECT_FALSE(parse_progress_line(
+                   "@railcorr 1 cell index=18446744073709551617 done=1 "
+                   "total=1")
+                   .has_value());
+  EXPECT_FALSE(parse_progress_line(
+                   "@railcorr 1 start shard=18446744073709551617/2 cells=1")
+                   .has_value());
+  EXPECT_FALSE(parse_progress_line(
+                   "@railcorr 1 start shard=0/18446744073709551617 cells=1")
+                   .has_value());
+  // Counters travel in the per-attempt .metrics.json files only; an
+  // older worker's `metrics` progress line is an unknown event.
+  EXPECT_FALSE(
+      parse_progress_line("@railcorr 1 metrics sweep.cells=64").has_value());
 }
 
 TEST(ProgressAggregator, CountsEachGridCellOnce) {
@@ -208,58 +223,6 @@ TEST(ProgressProtocol, CellUsecRoundTripsAndOldLinesDefaultToZero) {
   EXPECT_FALSE(
       parse_progress_line("@railcorr 1 cell index=42 done=5 total=9 usec=x")
           .has_value());
-}
-
-TEST(ProgressProtocol, MetricsRoundTrips) {
-  const std::vector<std::pair<std::string, std::size_t>> metrics = {
-      {"cache.lookup_hits", 3}, {"sweep.cells", 64}};
-  const std::string line = metrics_line(metrics);
-  EXPECT_EQ(line,
-            "@railcorr 1 metrics cache.lookup_hits=3 sweep.cells=64");
-  const auto event = parse_progress_line(line);
-  ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(event->kind, ProgressEvent::Kind::kMetrics);
-  EXPECT_EQ(event->metrics, metrics);
-}
-
-TEST(ProgressProtocol, MalformedMetricsLinesAreRejected) {
-  // No pairs at all.
-  EXPECT_FALSE(parse_progress_line("@railcorr 1 metrics").has_value());
-  EXPECT_FALSE(parse_progress_line("@railcorr 1 metrics ").has_value());
-  // Key outside [A-Za-z0-9_.-], non-numeric value, missing '='.
-  EXPECT_FALSE(
-      parse_progress_line("@railcorr 1 metrics a b=1").has_value());
-  EXPECT_FALSE(
-      parse_progress_line("@railcorr 1 metrics k=v").has_value());
-  EXPECT_FALSE(
-      parse_progress_line("@railcorr 1 metrics k=1 =2").has_value());
-  EXPECT_FALSE(
-      parse_progress_line("@railcorr 1 metrics k\xc3\xa9=1").has_value());
-}
-
-TEST(ProgressAggregator, MetricTotalsSumLatestReportPerShard) {
-  ProgressAggregator aggregator(/*grid_cells=*/16, /*shard_count=*/2);
-  EXPECT_TRUE(aggregator.metric_totals().empty());
-  aggregator.on_event(
-      0, *parse_progress_line(metrics_line({{"sweep.cells", 8}})));
-  aggregator.on_event(
-      1, *parse_progress_line(
-             metrics_line({{"cache.hits", 2}, {"sweep.cells", 8}})));
-  auto totals = aggregator.metric_totals();
-  ASSERT_EQ(totals.size(), 2u);
-  EXPECT_EQ(totals[0].first, "cache.hits");
-  EXPECT_EQ(totals[0].second, 2u);
-  EXPECT_EQ(totals[1].first, "sweep.cells");
-  EXPECT_EQ(totals[1].second, 16u);
-  // Shard 0 retried: the fresh report replaces the dead attempt's, and
-  // an out-of-range shard id is ignored.
-  aggregator.on_event(
-      0, *parse_progress_line(metrics_line({{"sweep.cells", 6}})));
-  aggregator.on_event(
-      9, *parse_progress_line(metrics_line({{"sweep.cells", 100}})));
-  totals = aggregator.metric_totals();
-  ASSERT_EQ(totals.size(), 2u);
-  EXPECT_EQ(totals[1].second, 14u);
 }
 
 TEST(ProgressAggregator, ShardTimingsAccumulateFirstSeenCellsOnly) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace railcorr::util {
@@ -82,6 +83,52 @@ TEST(FormatValues, IntBoolU64) {
   EXPECT_EQ(format_u64(0x5EEDC0DEULL), "1592639710");
   EXPECT_EQ(format_bool(true), "true");
   EXPECT_EQ(format_bool(false), "false");
+}
+
+TEST(TextCodecs, Fnv1a64KnownVectorsAndSeededChaining) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("line two\n", fnv1a64("line one\n")),
+            fnv1a64("line one\nline two\n"));
+}
+
+TEST(TextCodecs, Hex16RoundTripsAtTheExtremes) {
+  EXPECT_EQ(hex16(0), "0000000000000000");
+  EXPECT_EQ(hex16(UINT64_MAX), "ffffffffffffffff");
+  EXPECT_EQ(parse_hex16(hex16(0)), 0u);
+  EXPECT_EQ(parse_hex16(hex16(UINT64_MAX)), UINT64_MAX);
+  EXPECT_EQ(parse_hex16(hex16(0x0123456789abcdefULL)), 0x0123456789abcdefULL);
+}
+
+TEST(TextCodecs, ParseHex16IsStrict) {
+  EXPECT_FALSE(parse_hex16("0123456789ABCDEF").has_value());
+  EXPECT_FALSE(parse_hex16("0123456789abcde").has_value());
+  EXPECT_FALSE(parse_hex16("0123456789abcdef0").has_value());
+  EXPECT_FALSE(parse_hex16("0123456789abcdeg").has_value());
+  EXPECT_FALSE(parse_hex16("").has_value());
+}
+
+TEST(TextCodecs, DecimalRejectsOverflowAndEmptyTokens) {
+  EXPECT_EQ(parse_decimal("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(parse_decimal("18446744073709551616").has_value());
+  EXPECT_FALSE(parse_decimal("18446744073709551617").has_value());
+  EXPECT_FALSE(parse_decimal("").has_value());
+  EXPECT_FALSE(parse_decimal("-1").has_value());
+  EXPECT_FALSE(parse_decimal("+1").has_value());
+  EXPECT_FALSE(parse_decimal(" 1").has_value());
+  EXPECT_FALSE(parse_decimal("1x").has_value());
+  EXPECT_EQ(parse_decimal("007"), 7u);
+}
+
+TEST(TextCodecs, TakeDecimalConsumesOnlyTheLeadingDigitRun) {
+  std::string_view rest = "42 done=1";
+  EXPECT_EQ(take_decimal(rest), 42u);
+  EXPECT_EQ(rest, " done=1");
+  EXPECT_FALSE(take_decimal(rest).has_value());
+  EXPECT_EQ(rest, " done=1");
+  rest = "18446744073709551617/2";
+  EXPECT_FALSE(take_decimal(rest).has_value());
+  EXPECT_EQ(rest, "18446744073709551617/2");
 }
 
 }  // namespace

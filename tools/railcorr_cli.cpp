@@ -687,19 +687,6 @@ int cmd_sweep(std::vector<std::string> args) {
     }
   }
   if (progress) {
-    if (metrics_path.has_value()) {
-      // The latest-per-shard metrics event: counter totals the
-      // aggregator sums across the fleet (like the cache tally line).
-      std::vector<std::pair<std::string, std::size_t>> pairs;
-      const auto snap = railcorr::obs::MetricsRegistry::instance().snapshot();
-      pairs.reserve(snap.counters.size());
-      for (const auto& [name, value] : snap.counters) {
-        pairs.emplace_back(name, static_cast<std::size_t>(value));
-      }
-      if (!pairs.empty()) {
-        std::cout << railcorr::orch::metrics_line(pairs) << std::endl;
-      }
-    }
     if (cache.is_open()) {
       std::cout << railcorr::orch::cache_line(cache.stats().hits,
                                               cache.stats().misses)
