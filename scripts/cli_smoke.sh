@@ -114,6 +114,20 @@ expect_error 1 "cannot read" sweep --plan "$TMP/no_such_plan.sweep"
 # 2^64 + 1 is out of range: rejected, never wrapped to shard 1/2.
 expect_error 1 "expected '<i>/<N>' with decimal numbers" \
     sweep --plan "$TMP/plan.sweep" --shard 18446744073709551617/2
+# 2^44 + 1 MiB overflows a 64-bit byte count: rejected, never wrapped
+# to a 1 MiB cap.
+expect_error 1 "MiB overflows a byte count" \
+    sweep --plan "$TMP/plan.sweep" --cache-dir "$TMP/c" \
+    --cache-max-mb 17592186044417
+# A non-finite heartbeat period would overflow the timer and flood the
+# protocol stream.
+expect_error 1 "--heartbeat must be >= 0 seconds, finite" \
+    sweep --plan "$TMP/plan.sweep" --out "$TMP/hb.csv" --progress \
+    --heartbeat inf
+
+# merge flag misuse: an unknown option is not a shard path.
+expect_error 1 "merge: unknown option '--outt'" \
+    merge --outt "$TMP/x.csv" "$TMP/full.csv"
 
 # orchestrate argument misuse.
 expect_error 1 "--plan FILE and --out-dir DIR required" \
@@ -122,6 +136,9 @@ expect_error 1 "drop --out-dir" \
     orchestrate --resume "$TMP/run" --out-dir "$TMP/other"
 expect_error 1 "--cache-max-mb requires --cache-dir" \
     orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/x" --cache-max-mb 8
+expect_error 1 "--stall-timeout must be >= 0 seconds, finite" \
+    orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/st" \
+    --stall-timeout nan
 
 # orchestrate resume error paths.
 expect_error 1 "cannot read" orchestrate --resume "$TMP/no_such_run"
@@ -171,6 +188,10 @@ expect_error 1 "expected a verb" cache
 expect_error 1 "unknown verb" cache prune --dir "$TMP/cache"
 expect_error 1 "--dir DIR required" cache stats
 expect_error 1 "--max-mb N required" cache gc --dir "$TMP/cache"
+# 2^44 MiB wraps a 64-bit byte count to 0, which would evict the whole
+# store: rejected instead.
+expect_error 1 "MiB overflows a byte count" \
+    cache gc --dir "$TMP/cache" --max-mb 17592186044416
 expect_error 1 "unknown option '--strict'" cache stats --dir x --strict
 
 echo "cli shard+merge smoke OK"

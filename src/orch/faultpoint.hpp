@@ -3,8 +3,7 @@
 ///        testing of the orchestrator's failure model.
 ///
 /// A fault point is a *named site* in the worker where a specific
-/// failure can be provoked on demand — generalizing the original
-/// `--abort-after-cells` kill hook into a small vocabulary covering
+/// failure can be provoked on demand — a small vocabulary covering
 /// every failure class the orchestrator claims to survive:
 ///
 ///   torn-write=N       write only the first N bytes of the output
@@ -20,8 +19,7 @@
 ///                      supervisor's --stall-timeout liveness check
 ///                      can clear.
 ///   kill=N             raise SIGKILL after N cells — a crashed
-///                      worker, mid-shard (`--abort-after-cells N`
-///                      is an alias).
+///                      worker, mid-shard.
 ///
 /// Cache fault points (sites in cache::ResultCache::flush) model an
 /// adversarial shared result store; a poisoned cache must never change

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "util/config.hpp"
+#include "util/contracts.hpp"
 
 namespace railcorr::orch {
 
@@ -202,13 +203,28 @@ std::string ProgressAggregator::summary() const {
          std::to_string(shards_done_) + "/" + std::to_string(shard_count_);
 }
 
+namespace {
+
+/// `period_s` as a clock duration. The upper bound is strict: the
+/// clock's maximum, rounded to double, overflows on the way back, and a
+/// wrapped period would turn the timer into a busy loop. NaN fails both
+/// comparisons.
+std::chrono::steady_clock::duration heartbeat_period(double period_s) {
+  RAILCORR_EXPECTS(period_s > 0.0 &&
+                   period_s < std::chrono::duration<double>(
+                                  std::chrono::steady_clock::duration::max())
+                                  .count());
+  return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      std::chrono::duration<double>(period_s));
+}
+
+}  // namespace
+
 HeartbeatThread::HeartbeatThread(double period_s,
                                  std::function<void(const std::string&)> emit)
-    : thread_([this, period_s, emit = std::move(emit)] {
+    : thread_([this, period = heartbeat_period(period_s),
+               emit = std::move(emit)] {
         std::unique_lock<std::mutex> lock(mutex_);
-        const auto period = std::chrono::duration_cast<
-            std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(period_s));
         while (!stopped_) {
           if (cv_.wait_for(lock, period, [this] { return stopped_; })) break;
           lock.unlock();

@@ -165,7 +165,9 @@ class ProgressAggregator {
 };
 
 /// A worker-side heartbeat timer: calls `emit` with heartbeat_line()
-/// every `period_s` seconds until stopped (or destroyed). `emit` runs
+/// every `period_s` seconds until stopped (or destroyed); `period_s`
+/// must be > 0 and within steady_clock's range (a precondition, checked
+/// before the thread starts). `emit` runs
 /// on the timer thread, so it must be synchronized with the worker's
 /// other protocol writes — in practice both go through one mutex-
 /// guarded "write a line to stdout and flush" lambda.

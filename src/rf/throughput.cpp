@@ -22,10 +22,16 @@ double ThroughputModel::spectral_efficiency(Db snr) const {
 void ThroughputModel::spectral_efficiency_batch(
     std::span<const double> snr_db, std::span<double> out_se) const {
   RAILCORR_EXPECTS(out_se.size() == snr_db.size());
-  // Same call sequence as the scalar path, batched: linear ratio
-  // (Db::linear is pow(10, v/10), which db_to_ratio_batch reproduces in
-  // the default mode), 1 + x, attenuated Shannon log2, then the SNR_MIN
-  // and SE_MAX clamps per element.
+  // Bit-exact mode runs the scalar path per element: the batched libm
+  // passes below produce the same bytes but measure slower than it.
+  if (vmath::active_accuracy_mode() == vmath::AccuracyMode::kBitExact) {
+    for (std::size_t i = 0; i < out_se.size(); ++i) {
+      out_se[i] = spectral_efficiency(Db(snr_db[i]));
+    }
+    return;
+  }
+  // Fast mode: the SIMD linear ratio, 1 + x, attenuated Shannon log2,
+  // then the SNR_MIN and SE_MAX clamps per element.
   vmath::db_to_ratio_batch(snr_db, out_se);
   for (double& v : out_se) v = 1.0 + v;
   vmath::log2_batch(out_se, out_se);

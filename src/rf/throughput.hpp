@@ -29,13 +29,12 @@ class ThroughputModel {
   /// Spectral efficiency [bps/Hz] at the given SNR.
   [[nodiscard]] double spectral_efficiency(Db snr) const;
 
-  /// Batched spectral efficiency over many SNR samples [dB]. The two
-  /// transcendental passes (dB -> linear, Shannon log2) run through the
-  /// vmath accuracy/SIMD dispatch: under the default mode the output is
-  /// bit-identical to calling spectral_efficiency per element; under
-  /// kFastUlp the passes are polynomial SIMD within the documented ULP
-  /// bounds. `out_se` must have snr_db.size() slots and must not alias
-  /// `snr_db` (the input is re-read for the SNR_MIN cutoff after the
+  /// Batched spectral efficiency over many SNR samples [dB]. Under the
+  /// default mode this is spectral_efficiency per element; under
+  /// kFastUlp the two transcendental passes (dB -> linear, Shannon
+  /// log2) are polynomial SIMD within the documented ULP bounds.
+  /// `out_se` must have snr_db.size() slots and must not alias `snr_db`
+  /// (the input is re-read for the SNR_MIN cutoff after the
   /// linear-domain passes).
   void spectral_efficiency_batch(std::span<const double> snr_db,
                                  std::span<double> out_se) const;

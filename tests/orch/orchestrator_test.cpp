@@ -769,8 +769,8 @@ TEST(OrchestrateEndToEnd, KilledWorkerIsRetriedByteIdentically) {
     };
     if (attempt.shard == 1 && attempt.attempt == 0) {
       // SIGKILL after the first cell: a genuine mid-shard worker death.
-      argv.push_back("--abort-after-cells");
-      argv.push_back("1");
+      argv.push_back("--fault");
+      argv.push_back("kill=1");
     }
     return argv;
   };

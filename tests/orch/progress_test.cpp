@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace railcorr::orch {
@@ -186,6 +188,16 @@ TEST(HeartbeatThreadTest, StopBeforeFirstBeatEmitsNothing) {
     heartbeat.stop();
   }
   EXPECT_TRUE(lines.empty());
+}
+
+TEST(HeartbeatThreadTest, PeriodOutsideTheClockRangeIsAContractViolation) {
+  const auto emit = [](const std::string&) {};
+  for (const double period_s :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 1e300, 9.3e9}) {
+    EXPECT_THROW(HeartbeatThread(period_s, emit), ContractViolation)
+        << period_s;
+  }
 }
 
 TEST(ProgressAggregator, CacheTalliesSumLatestReportPerShard) {

@@ -48,14 +48,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -221,21 +225,109 @@ void write_grid_output(const std::optional<std::string>& path,
   }
 }
 
-/// Strip `--accuracy MODE` from `args` and pin the vector-math mode.
-/// Shared by run / sweep / orchestrate; the flag wins over the
-/// RAILCORR_ACCURACY environment variable (it calls
-/// force_accuracy_mode).
-void apply_accuracy_option(std::vector<std::string>& args) {
-  std::vector<std::string> rest;
+/// One entry of a verb's flag table. A switch takes no value; every
+/// other kind gets the next argument, which its `apply` checks exactly
+/// once (see the flag_* kinds below) before storing it.
+struct Flag {
+  std::string_view name;
+  bool takes_value;
+  std::function<void(const std::string& value)> apply;
+};
+
+/// Parse `args` against one verb's flag table. This loop is the only
+/// place that reports a missing value or an unknown option. Verbs that
+/// take positional arguments (merge, trace) collect them in
+/// `positionals`; an unknown `--` argument is an error either way.
+void parse_flags(const std::string& verb, const std::vector<std::string>& args,
+                 const std::vector<Flag>& flags,
+                 std::vector<std::string>* positionals = nullptr) {
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != "--accuracy") {
-      rest.push_back(args[i]);
-      continue;
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const Flag& entry) { return entry.name == args[i]; });
+    if (flag == flags.end()) {
+      if (positionals == nullptr || args[i].starts_with("--")) {
+        throw ConfigError(verb + ": unknown option '" + args[i] + "'");
+      }
+      positionals->push_back(args[i]);
+    } else if (!flag->takes_value) {
+      flag->apply({});
+    } else if (i + 1 >= args.size()) {
+      throw ConfigError(std::string(flag->name) + " expects an argument");
+    } else {
+      flag->apply(args[++i]);
     }
-    if (i + 1 >= args.size()) {
-      throw ConfigError("--accuracy expects 'bitexact' or 'fast'");
-    }
-    const std::string& value = args[++i];
+  }
+}
+
+Flag flag_switch(std::string_view name, bool& on) {
+  return {name, false, [&on](const std::string&) { on = true; }};
+}
+
+template <typename T>
+Flag flag_text(std::string_view name, T& target) {
+  return {name, true, [&target](const std::string& value) { target = value; }};
+}
+
+Flag flag_call(std::string_view name,
+               std::function<void(const std::string& value)> apply) {
+  return {name, true, std::move(apply)};
+}
+
+/// A decimal u64, with util::parse_u64's named-key messages.
+std::uint64_t parse_u64_value(std::string_view name, const std::string& text) {
+  return railcorr::util::parse_u64(
+      railcorr::util::SpecEntry{std::string(name), text, 0});
+}
+
+template <typename T>
+Flag flag_u64(std::string_view name, T& target) {
+  return {name, true, [name, &target](const std::string& value) {
+            target = parse_u64_value(name, value);
+          }};
+}
+
+/// Seconds: finite, >= 0 and strictly below steady_clock's range (its
+/// maximum rounds up in double), so no deadline or timer period built
+/// from the value can overflow. NaN fails both comparisons.
+template <typename T>
+Flag flag_seconds(std::string_view name, T& target) {
+  return {name, true, [name, &target](const std::string& value) {
+            const double seconds = railcorr::util::parse_double(
+                railcorr::util::SpecEntry{std::string(name), value, 0});
+            constexpr double kClockRange_s =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::duration::max())
+                    .count();
+            if (!(seconds >= 0.0 && seconds < kClockRange_s)) {
+              throw ConfigError(std::string(name) +
+                                " must be >= 0 seconds, finite and within "
+                                "the clock's range, got '" +
+                                value + "'");
+            }
+            target = seconds;
+          }};
+}
+
+/// A size given in MiB, stored in bytes; a count whose byte size does
+/// not fit std::size_t is rejected, never wrapped.
+template <typename T>
+Flag flag_mib(std::string_view name, T& target_bytes) {
+  return {name, true, [name, &target_bytes](const std::string& value) {
+            const std::uint64_t mib = parse_u64_value(name, value);
+            if (mib > std::numeric_limits<std::size_t>::max() >> 20) {
+              throw ConfigError(std::string(name) + " " + value +
+                                " MiB overflows a byte count");
+            }
+            target_bytes = static_cast<std::size_t>(mib) << 20;
+          }};
+}
+
+/// `--accuracy MODE`, shared by run / sweep / orchestrate. The flag
+/// wins over the RAILCORR_ACCURACY environment variable (it calls
+/// force_accuracy_mode).
+Flag accuracy_flag() {
+  return flag_call("--accuracy", [](const std::string& value) {
     if (value == "bitexact") {
       railcorr::vmath::force_accuracy_mode(
           railcorr::vmath::AccuracyMode::kBitExact);
@@ -246,8 +338,7 @@ void apply_accuracy_option(std::vector<std::string>& args) {
       throw ConfigError("--accuracy expects 'bitexact' or 'fast', got '" +
                         value + "'");
     }
-  }
-  args = std::move(rest);
+  });
 }
 
 /// The active accuracy mode as its CLI spelling, for propagation to
@@ -270,41 +361,31 @@ railcorr::util::SpecEntry parse_set_option(const std::string& text) {
   return entry;
 }
 
-/// Common `--scenario / --spec / --set` handling; consumed args are
-/// removed from `args`.
-railcorr::core::Scenario select_scenario(std::vector<std::string>& args) {
+/// The `--scenario / --spec / --set` entries shared by show and run.
+/// The flags hold references to this object, so it must outlive them.
+struct ScenarioSelection {
   std::string name = "paper";
   std::optional<std::string> spec_path;
   std::vector<railcorr::util::SpecEntry> overrides;
-  std::vector<std::string> rest;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value_of = [&](const char* option) {
-      if (i + 1 >= args.size()) {
-        throw ConfigError(std::string(option) + " expects an argument");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--scenario") {
-      name = value_of("--scenario");
-    } else if (args[i] == "--spec") {
-      spec_path = value_of("--spec");
-    } else if (args[i] == "--set") {
-      overrides.push_back(parse_set_option(value_of("--set")));
-    } else {
-      rest.push_back(args[i]);
-    }
-  }
-  args = std::move(rest);
 
-  railcorr::core::Scenario scenario = railcorr::core::make_scenario(name);
-  if (spec_path.has_value()) {
-    railcorr::core::apply_spec(scenario, read_file(*spec_path));
+  std::vector<Flag> flags() {
+    return {flag_text("--scenario", name), flag_text("--spec", spec_path),
+            flag_call("--set", [this](const std::string& value) {
+              overrides.push_back(parse_set_option(value));
+            })};
   }
-  for (const auto& entry : overrides) {
-    railcorr::core::apply_override(scenario, entry);
+
+  railcorr::core::Scenario resolve() const {
+    railcorr::core::Scenario scenario = railcorr::core::make_scenario(name);
+    if (spec_path.has_value()) {
+      railcorr::core::apply_spec(scenario, read_file(*spec_path));
+    }
+    for (const auto& entry : overrides) {
+      railcorr::core::apply_override(scenario, entry);
+    }
+    return scenario;
   }
-  return scenario;
-}
+};
 
 int cmd_list() {
   railcorr::TextTable table("Scenario registry");
@@ -316,34 +397,30 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_show(std::vector<std::string> args) {
-  const auto scenario = select_scenario(args);
-  if (!args.empty()) throw ConfigError("show: unknown option '" + args[0] + "'");
-  std::cout << railcorr::core::to_spec(scenario);
+int cmd_show(const std::vector<std::string>& args) {
+  ScenarioSelection selection;
+  parse_flags("show", args, selection.flags());
+  std::cout << railcorr::core::to_spec(selection.resolve());
   return 0;
 }
 
-int cmd_run(std::vector<std::string> args) {
-  apply_accuracy_option(args);
-  auto scenario = select_scenario(args);
+int cmd_run(const std::vector<std::string>& args) {
+  ScenarioSelection selection;
   auto source = railcorr::corridor::IsdSource::kModelSearch;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--isd-source") {
-      if (i + 1 >= args.size()) {
-        throw ConfigError("--isd-source expects 'model' or 'paper'");
-      }
-      const std::string& value = args[++i];
-      if (value == "model") {
-        source = railcorr::corridor::IsdSource::kModelSearch;
-      } else if (value == "paper") {
-        source = railcorr::corridor::IsdSource::kPaperPublished;
-      } else {
-        throw ConfigError("--isd-source expects 'model' or 'paper'");
-      }
-    } else {
-      throw ConfigError("run: unknown option '" + args[i] + "'");
-    }
-  }
+  std::vector<Flag> flags = selection.flags();
+  flags.push_back(accuracy_flag());
+  flags.push_back(
+      flag_call("--isd-source", [&source](const std::string& value) {
+        if (value == "model") {
+          source = railcorr::corridor::IsdSource::kModelSearch;
+        } else if (value == "paper") {
+          source = railcorr::corridor::IsdSource::kPaperPublished;
+        } else {
+          throw ConfigError("--isd-source expects 'model' or 'paper'");
+        }
+      }));
+  parse_flags("run", args, flags);
+  const auto scenario = selection.resolve();
 
   const railcorr::core::PaperEvaluator evaluator(scenario);
   const auto results = evaluator.run_all(source, /*include_fig3=*/false);
@@ -376,15 +453,6 @@ int cmd_run(std::vector<std::string> args) {
     std::cout << table << "\n";
   }
   return 0;
-}
-
-/// Parse a decimal size_t CLI value via the spec machinery (uniform
-/// error messages).
-std::size_t parse_u64_option(const char* option, const std::string& value) {
-  railcorr::util::SpecEntry entry;
-  entry.key = option;
-  entry.value = value;
-  return static_cast<std::size_t>(railcorr::util::parse_u64(entry));
 }
 
 /// The seeded chaos schedule: which fault (if any) attempt `attempt`
@@ -478,75 +546,48 @@ void write_shard_output(const std::string& out_path,
   }
 }
 
-int cmd_sweep(std::vector<std::string> args) {
-  apply_accuracy_option(args);
+int cmd_sweep(const std::vector<std::string>& args) {
   std::optional<std::string> plan_path;
   std::optional<std::string> out_path;
   std::optional<std::string> cache_dir;
   std::optional<std::string> trace_path;
   std::optional<std::string> metrics_path;
-  std::size_t cache_max_mb = 0;
+  std::size_t cache_max_bytes = 0;
+  std::optional<std::size_t> threads;
   railcorr::corridor::ShardSpec shard;
   railcorr::core::SweepRunOptions options;
   bool progress = false;
-  double heartbeat_s = 0.0;
+  std::optional<double> heartbeat_s;
   auto& faults = railcorr::orch::FaultInjector::instance();
   faults.arm_from_env();
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value_of = [&](const char* option) {
-      if (i + 1 >= args.size()) {
-        throw ConfigError(std::string(option) + " expects an argument");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--plan") {
-      plan_path = value_of("--plan");
-    } else if (args[i] == "--shard") {
-      shard = railcorr::corridor::ShardSpec::parse(value_of("--shard"));
-    } else if (args[i] == "--out") {
-      out_path = value_of("--out");
-    } else if (args[i] == "--include-sizing") {
-      options.include_sizing = true;
-    } else if (args[i] == "--progress") {
-      progress = true;
-    } else if (args[i] == "--heartbeat") {
-      // Periodic liveness lines on the progress stream: a supervisor's
-      // --stall-timeout can then tell a slow cell (heartbeats keep
-      // flowing) from a dead transport (silence).
-      railcorr::util::SpecEntry entry;
-      entry.key = "--heartbeat";
-      entry.value = value_of("--heartbeat");
-      heartbeat_s = railcorr::util::parse_double(entry);
-      if (heartbeat_s <= 0) {
-        throw ConfigError("--heartbeat must be > 0 seconds");
-      }
-    } else if (args[i] == "--fault") {
-      // Seeded fault injection (chaos testing): arm a named failure —
-      // torn-write=N, corrupt-trailer, stall=N, kill=N. Also armable
-      // via RAILCORR_FAULT for workers the orchestrator launches.
-      faults.arm(railcorr::orch::parse_fault_spec(value_of("--fault")));
-    } else if (args[i] == "--abort-after-cells") {
-      // Legacy spelling of --fault kill=N: evaluate N cells, report
-      // them on the progress stream, then die on SIGKILL mid-shard
-      // exactly like a crashed/killed worker.
-      faults.arm({railcorr::orch::FaultKind::kKillAfterCells,
-                  parse_u64_option("--abort-after-cells",
-                                   value_of("--abort-after-cells"))});
-    } else if (args[i] == "--threads") {
-      railcorr::exec::set_default_thread_count(
-          parse_u64_option("--threads", value_of("--threads")));
-    } else if (args[i] == "--cache-dir") {
-      cache_dir = value_of("--cache-dir");
-    } else if (args[i] == "--cache-max-mb") {
-      cache_max_mb =
-          parse_u64_option("--cache-max-mb", value_of("--cache-max-mb"));
-    } else if (args[i] == "--trace") {
-      trace_path = value_of("--trace");
-    } else if (args[i] == "--metrics") {
-      metrics_path = value_of("--metrics");
-    } else {
-      throw ConfigError("sweep: unknown option '" + args[i] + "'");
-    }
+  parse_flags(
+      "sweep", args,
+      {flag_text("--plan", plan_path),
+       flag_call("--shard",
+                 [&shard](const std::string& value) {
+                   shard = railcorr::corridor::ShardSpec::parse(value);
+                 }),
+       flag_text("--out", out_path),
+       flag_switch("--include-sizing", options.include_sizing),
+       flag_switch("--progress", progress),
+       // Periodic liveness lines on the progress stream: a supervisor's
+       // --stall-timeout can then tell a slow cell (heartbeats keep
+       // flowing) from a dead transport (silence).
+       flag_seconds("--heartbeat", heartbeat_s),
+       // Seeded fault injection (chaos testing): arm a named failure —
+       // torn-write=N, corrupt-trailer, stall=N, kill=N. Also armable
+       // via RAILCORR_FAULT for workers the orchestrator launches.
+       flag_call("--fault",
+                 [&faults](const std::string& value) {
+                   faults.arm(railcorr::orch::parse_fault_spec(value));
+                 }),
+       flag_u64("--threads", threads), flag_text("--cache-dir", cache_dir),
+       flag_mib("--cache-max-mb", cache_max_bytes),
+       flag_text("--trace", trace_path), flag_text("--metrics", metrics_path),
+       accuracy_flag()});
+  if (threads.has_value()) railcorr::exec::set_default_thread_count(*threads);
+  if (heartbeat_s.has_value() && *heartbeat_s <= 0) {
+    throw ConfigError("--heartbeat must be > 0 seconds");
   }
   // Telemetry turns on before any instrumented work (cache open, cell
   // evaluation). It is inert by contract: the recorder/registry write
@@ -560,12 +601,12 @@ int cmd_sweep(std::vector<std::string> args) {
     throw ConfigError(
         "sweep: --progress requires --out (stdout carries the protocol)");
   }
-  if (heartbeat_s > 0 && !progress) {
+  if (heartbeat_s.has_value() && !progress) {
     throw ConfigError(
         "sweep: --heartbeat requires --progress (heartbeats ride the "
         "protocol stream)");
   }
-  if (cache_max_mb != 0 && !cache_dir.has_value()) {
+  if (cache_max_bytes != 0 && !cache_dir.has_value()) {
     throw ConfigError("sweep: --cache-max-mb requires --cache-dir");
   }
 
@@ -583,7 +624,7 @@ int cmd_sweep(std::vector<std::string> args) {
   if (cache_dir.has_value()) {
     railcorr::cache::ResultCache::Options cache_options;
     cache_options.dir = *cache_dir;
-    cache_options.max_bytes = cache_max_mb * std::size_t{1024} * 1024;
+    cache_options.max_bytes = cache_max_bytes;
     std::string error;
     if (!cache.open(cache_options, &error)) {
       throw ConfigError("sweep: " + error);
@@ -605,8 +646,8 @@ int cmd_sweep(std::vector<std::string> args) {
   // before the cache/done lines, so only cell lines need the lock.
   auto protocol_mutex = std::make_shared<std::mutex>();
   std::optional<railcorr::orch::HeartbeatThread> heartbeat;
-  if (heartbeat_s > 0) {
-    heartbeat.emplace(heartbeat_s, [protocol_mutex](const std::string& line) {
+  if (heartbeat_s.has_value()) {
+    heartbeat.emplace(*heartbeat_s, [protocol_mutex](const std::string& line) {
       std::lock_guard<std::mutex> lock(*protocol_mutex);
       std::cout << line << std::endl;
     });
@@ -702,17 +743,10 @@ int cmd_sweep(std::vector<std::string> args) {
   return 0;
 }
 
-int cmd_merge(std::vector<std::string> args) {
+int cmd_merge(const std::vector<std::string>& args) {
   std::optional<std::string> out_path;
   std::vector<std::string> shard_paths;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--out") {
-      if (i + 1 >= args.size()) throw ConfigError("--out expects an argument");
-      out_path = args[++i];
-    } else {
-      shard_paths.push_back(args[i]);
-    }
-  }
+  parse_flags("merge", args, {flag_text("--out", out_path)}, &shard_paths);
   if (shard_paths.empty()) {
     throw ConfigError("merge: at least one shard file required");
   }
@@ -742,138 +776,87 @@ int cmd_merge(std::vector<std::string> args) {
   return 0;
 }
 
-int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
-  apply_accuracy_option(args);
+int cmd_orchestrate(const std::vector<std::string>& args, const char* argv0) {
   std::optional<std::string> plan_path;
   std::optional<std::string> out_dir;
   std::optional<std::string> resume_dir;
   std::optional<std::string> out_path;
   std::optional<std::string> cache_dir;
-  std::size_t cache_max_mb = 0;
+  std::size_t cache_max_bytes = 0;
   std::vector<std::size_t> worker_threads;
   std::optional<std::size_t> inject_kill;
   std::optional<std::uint64_t> chaos_seed;
   std::optional<std::string> launcher_text;
   std::optional<std::string> fetch_text;
-  bool fetch_timeout_given = false;
+  std::optional<double> fetch_timeout_s;
+  bool no_speculate = false;
   railcorr::orch::OrchestrateOptions options;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value_of = [&](const char* option) {
-      if (i + 1 >= args.size()) {
-        throw ConfigError(std::string(option) + " expects an argument");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--plan") {
-      plan_path = value_of("--plan");
-    } else if (args[i] == "--out-dir") {
-      out_dir = value_of("--out-dir");
-    } else if (args[i] == "--resume") {
-      resume_dir = value_of("--resume");
-    } else if (args[i] == "--out") {
-      out_path = value_of("--out");
-    } else if (args[i] == "--workers") {
-      options.workers = parse_u64_option("--workers", value_of("--workers"));
-      if (options.workers == 0) {
-        throw ConfigError("--workers must be at least 1");
-      }
-    } else if (args[i] == "--shards") {
-      options.shards = parse_u64_option("--shards", value_of("--shards"));
-    } else if (args[i] == "--retries") {
-      options.retries = parse_u64_option("--retries", value_of("--retries"));
-    } else if (args[i] == "--timeout") {
-      railcorr::util::SpecEntry entry;
-      entry.key = "--timeout";
-      entry.value = value_of("--timeout");
-      options.timeout_s = railcorr::util::parse_double(entry);
-      if (options.timeout_s < 0) {
-        throw ConfigError("--timeout must be >= 0 seconds");
-      }
-    } else if (args[i] == "--stall-timeout") {
-      // Liveness, not wall-clock: kill a worker whose progress stream
-      // has been silent this long (deadlock, fault-injected stall),
-      // independently of --timeout.
-      railcorr::util::SpecEntry entry;
-      entry.key = "--stall-timeout";
-      entry.value = value_of("--stall-timeout");
-      options.stall_timeout_s = railcorr::util::parse_double(entry);
-      if (options.stall_timeout_s < 0) {
-        throw ConfigError("--stall-timeout must be >= 0 seconds");
-      }
-    } else if (args[i] == "--backoff") {
-      // Base of the deterministic exponential backoff between a
-      // shard's attempts (base * 2^(fails-1), capped); 0 disables.
-      railcorr::util::SpecEntry entry;
-      entry.key = "--backoff";
-      entry.value = value_of("--backoff");
-      options.backoff_base_s = railcorr::util::parse_double(entry);
-      if (options.backoff_base_s < 0) {
-        throw ConfigError("--backoff must be >= 0 seconds");
-      }
-    } else if (args[i] == "--include-sizing") {
-      options.include_sizing = true;
-    } else if (args[i] == "--no-speculate") {
-      options.speculate = false;
-    } else if (args[i] == "--threads") {
-      // One value for a homogeneous fleet, or a comma-separated list
-      // assigning worker slot k the k-th entry (the last entry repeats
-      // for higher slots) — heterogeneous machines give their big
-      // cores more threads than their little ones.
-      std::string_view rest = value_of("--threads");
-      worker_threads.clear();
-      while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        const std::string token(
-            comma == std::string_view::npos ? rest : rest.substr(0, comma));
-        rest.remove_prefix(comma == std::string_view::npos ? rest.size()
-                                                           : comma + 1);
-        worker_threads.push_back(parse_u64_option("--threads", token));
-      }
-      if (worker_threads.empty()) {
-        throw ConfigError("--threads expects N or N,N,...");
-      }
-    } else if (args[i] == "--inject-kill") {
-      // Testing aid: SIGKILL the *first* attempt of this shard after
-      // one cell (via the worker's kill fault point), proving the
-      // retry path reproduces byte-identical output.
-      inject_kill =
-          parse_u64_option("--inject-kill", value_of("--inject-kill"));
-    } else if (args[i] == "--chaos-seed") {
-      // Seeded chaos mode: derive a deterministic fault schedule over
-      // (shard, attempt) and arm each worker accordingly — torn
-      // writes, corrupted trailers, stalls, kills. Attempts at or past
-      // the retry budget stay clean, so a chaos run always converges,
-      // and the merged grid must still be byte-identical to a clean
-      // single-process sweep.
-      chaos_seed = railcorr::util::parse_u64(railcorr::util::SpecEntry{
-          "--chaos-seed", value_of("--chaos-seed"), 0});
-    } else if (args[i] == "--cache-dir") {
-      cache_dir = value_of("--cache-dir");
-    } else if (args[i] == "--cache-max-mb") {
-      cache_max_mb =
-          parse_u64_option("--cache-max-mb", value_of("--cache-max-mb"));
-    } else if (args[i] == "--hosts") {
-      options.hosts = railcorr::orch::parse_host_list(value_of("--hosts"));
-    } else if (args[i] == "--launcher") {
-      launcher_text = value_of("--launcher");
-    } else if (args[i] == "--fetch") {
-      fetch_text = value_of("--fetch");
-    } else if (args[i] == "--fetch-timeout") {
-      railcorr::util::SpecEntry entry;
-      entry.key = "--fetch-timeout";
-      entry.value = value_of("--fetch-timeout");
-      options.fetch_timeout_s = railcorr::util::parse_double(entry);
-      if (options.fetch_timeout_s < 0) {
-        throw ConfigError("--fetch-timeout must be >= 0 seconds");
-      }
-      fetch_timeout_given = true;
-    } else if (args[i] == "--trace-dir") {
-      options.trace_dir = value_of("--trace-dir");
-    } else {
-      throw ConfigError("orchestrate: unknown option '" + args[i] + "'");
-    }
+  parse_flags(
+      "orchestrate", args,
+      {flag_text("--plan", plan_path), flag_text("--out-dir", out_dir),
+       flag_text("--resume", resume_dir), flag_text("--out", out_path),
+       flag_u64("--workers", options.workers),
+       flag_u64("--shards", options.shards),
+       flag_u64("--retries", options.retries),
+       flag_seconds("--timeout", options.timeout_s),
+       // Liveness, not wall-clock: kill a worker whose progress stream
+       // has been silent this long (deadlock, fault-injected stall),
+       // independently of --timeout.
+       flag_seconds("--stall-timeout", options.stall_timeout_s),
+       // Base of the deterministic exponential backoff between a
+       // shard's attempts (base * 2^(fails-1), capped); 0 disables.
+       flag_seconds("--backoff", options.backoff_base_s),
+       flag_switch("--include-sizing", options.include_sizing),
+       flag_switch("--no-speculate", no_speculate),
+       // One value for a homogeneous fleet, or a comma-separated list
+       // assigning worker slot k the k-th entry (the last entry repeats
+       // for higher slots) — heterogeneous machines give their big
+       // cores more threads than their little ones.
+       flag_call("--threads",
+                 [&worker_threads](const std::string& value) {
+                   std::string_view rest = value;
+                   worker_threads.clear();
+                   while (!rest.empty()) {
+                     const std::size_t comma = rest.find(',');
+                     const std::string token(comma == std::string_view::npos
+                                                 ? rest
+                                                 : rest.substr(0, comma));
+                     rest.remove_prefix(comma == std::string_view::npos
+                                            ? rest.size()
+                                            : comma + 1);
+                     worker_threads.push_back(
+                         parse_u64_value("--threads", token));
+                   }
+                   if (worker_threads.empty()) {
+                     throw ConfigError("--threads expects N or N,N,...");
+                   }
+                 }),
+       // Testing aid: SIGKILL the *first* attempt of this shard after
+       // one cell (via the worker's kill fault point), proving the
+       // retry path reproduces byte-identical output.
+       flag_u64("--inject-kill", inject_kill),
+       // Seeded chaos mode: derive a deterministic fault schedule over
+       // (shard, attempt) and arm each worker accordingly — torn
+       // writes, corrupted trailers, stalls, kills. Attempts at or past
+       // the retry budget stay clean, so a chaos run always converges,
+       // and the merged grid must still be byte-identical to a clean
+       // single-process sweep.
+       flag_u64("--chaos-seed", chaos_seed),
+       flag_text("--cache-dir", cache_dir),
+       flag_mib("--cache-max-mb", cache_max_bytes),
+       flag_call("--hosts",
+                 [&options](const std::string& value) {
+                   options.hosts = railcorr::orch::parse_host_list(value);
+                 }),
+       flag_text("--launcher", launcher_text), flag_text("--fetch", fetch_text),
+       flag_seconds("--fetch-timeout", fetch_timeout_s),
+       flag_text("--trace-dir", options.trace_dir), accuracy_flag()});
+  if (options.workers == 0) {
+    throw ConfigError("--workers must be at least 1");
   }
-  if (cache_max_mb != 0 && !cache_dir.has_value()) {
+  if (no_speculate) options.speculate = false;
+  if (fetch_timeout_s.has_value()) options.fetch_timeout_s = *fetch_timeout_s;
+  if (cache_max_bytes != 0 && !cache_dir.has_value()) {
     throw ConfigError("orchestrate: --cache-max-mb requires --cache-dir");
   }
 
@@ -890,7 +873,7 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
         "orchestrate: --fetch requires --hosts (fetching only applies to "
         "remote workers)");
   }
-  if (fetch_timeout_given && !fetch_text.has_value()) {
+  if (fetch_timeout_s.has_value() && !fetch_text.has_value()) {
     throw ConfigError("orchestrate: --fetch-timeout requires --fetch");
   }
   std::optional<railcorr::orch::LaunchTemplate> launcher;
@@ -978,7 +961,7 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
           : 0.0;
   options.command =
       [self, worker_plan, accuracy, worker_threads, sizing, inject_kill,
-       chaos_seed, retries, cache_dir, cache_max_mb, fleet_hosts, launcher,
+       chaos_seed, retries, cache_dir, cache_max_bytes, fleet_hosts, launcher,
        heartbeat_s](const railcorr::orch::WorkerAttempt& attempt) {
         // Slot k gets the k-th --threads entry — or host k with a
         // fleet, where thread counts describe machines, not slots; the
@@ -1039,9 +1022,9 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
           // from recomputes.
           argv.push_back("--cache-dir");
           argv.push_back(*cache_dir);
-          if (cache_max_mb != 0) {
+          if (cache_max_bytes != 0) {
             argv.push_back("--cache-max-mb");
-            argv.push_back(std::to_string(cache_max_mb));
+            argv.push_back(std::to_string(cache_max_bytes >> 20));
           }
         }
         if (inject_kill.has_value() && attempt.shard == *inject_kill &&
@@ -1175,36 +1158,21 @@ int cmd_cache(std::vector<std::string> args) {
   }
 
   std::optional<std::string> dir;
-  std::optional<std::size_t> max_mb;
+  std::optional<std::size_t> max_bytes;
   bool strict = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value_of = [&](const char* option) {
-      if (i + 1 >= args.size()) {
-        throw ConfigError(std::string(option) + " expects an argument");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--dir") {
-      dir = value_of("--dir");
-    } else if (args[i] == "--max-mb" && verb == "gc") {
-      max_mb = parse_u64_option("--max-mb", value_of("--max-mb"));
-    } else if (args[i] == "--strict" && verb == "verify") {
-      strict = true;
-    } else {
-      throw ConfigError("cache " + verb + ": unknown option '" + args[i] +
-                        "'");
-    }
-  }
+  std::vector<Flag> flags = {flag_text("--dir", dir)};
+  if (verb == "gc") flags.push_back(flag_mib("--max-mb", max_bytes));
+  if (verb == "verify") flags.push_back(flag_switch("--strict", strict));
+  parse_flags("cache " + verb, args, flags);
   if (!dir.has_value()) {
     throw ConfigError("cache " + verb + ": --dir DIR required");
   }
 
   if (verb == "gc") {
-    if (!max_mb.has_value()) {
+    if (!max_bytes.has_value()) {
       throw ConfigError("cache gc: --max-mb N required");
     }
-    const std::size_t evicted =
-        railcorr::cache::gc_dir(*dir, *max_mb * std::size_t{1024} * 1024);
+    const std::size_t evicted = railcorr::cache::gc_dir(*dir, *max_bytes);
     const auto after = railcorr::cache::scan_dir(*dir, /*drop_corrupt=*/false);
     std::cout << "cache gc: evicted " << evicted << " segment(s); "
               << after.segments << " segment(s), " << after.bytes
@@ -1249,17 +1217,9 @@ int cmd_trace(std::vector<std::string> args) {
 
   std::optional<std::string> out_path;
   std::vector<std::string> inputs;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--out" && verb == "merge") {
-      if (i + 1 >= args.size()) throw ConfigError("--out expects an argument");
-      out_path = args[++i];
-    } else if (args[i].starts_with("--")) {
-      throw ConfigError("trace " + verb + ": unknown option '" + args[i] +
-                        "'");
-    } else {
-      inputs.push_back(args[i]);
-    }
-  }
+  std::vector<Flag> flags;
+  if (verb == "merge") flags.push_back(flag_text("--out", out_path));
+  parse_flags("trace " + verb, args, flags, &inputs);
   if (inputs.empty()) {
     throw ConfigError("trace " + verb + ": at least one trace file required");
   }
@@ -1333,17 +1293,15 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 2, argv + argc);
   try {
     if (command == "list") return cmd_list();
-    if (command == "show") return cmd_show(std::move(args));
-    if (command == "run") return cmd_run(std::move(args));
-    if (command == "sweep") return cmd_sweep(std::move(args));
-    if (command == "merge") return cmd_merge(std::move(args));
-    if (command == "orchestrate") {
-      return cmd_orchestrate(std::move(args), argv[0]);
-    }
+    if (command == "show") return cmd_show(args);
+    if (command == "run") return cmd_run(args);
+    if (command == "sweep") return cmd_sweep(args);
+    if (command == "merge") return cmd_merge(args);
+    if (command == "orchestrate") return cmd_orchestrate(args, argv[0]);
     if (command == "cache") return cmd_cache(std::move(args));
     if (command == "trace") return cmd_trace(std::move(args));
-    if (command == "--help" || command == "-h" || command == "help") {
-      return usage(std::cout) * 0;
+    for (const char* help : {"--help", "-h", "help"}) {
+      if (command == help) return usage(std::cout) * 0;
     }
     std::cerr << "railcorr: unknown command '" << command << "'\n";
     return usage(std::cerr);
