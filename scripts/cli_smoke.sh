@@ -4,8 +4,12 @@
 #   1. evaluate a tiny sweep grid as 2 shards and as 1 shard,
 #   2. merge both ways — the outputs must be byte-identical
 #      (the cross-shard determinism contract),
-#   3. corrupt one shard row and check merge exits nonzero,
-#   4. pin the CLI error matrix: exit codes AND messages of the
+#   3. run an --include-sizing grid as one sweep (cells share ISD
+#      searches, corridor worst cases and sizing jobs through the stage
+#      memo) and as one-cell shards (nothing to share), merge both and
+#      check the bytes agree,
+#   4. corrupt one shard row and check merge exits nonzero,
+#   5. pin the CLI error matrix: exit codes AND messages of the
 #      sweep/orchestrate/cache usage-error paths (wrong-flag
 #      combinations, refused resumes) so orchestrating scripts can rely
 #      on them.
@@ -38,6 +42,37 @@ PLAN
 
 if ! cmp "$TMP/merged_sharded.csv" "$TMP/merged_single.csv"; then
   echo "FAIL: sharded merge differs from single-process run" >&2
+  exit 1
+fi
+
+# The stage memo is invisible in the bytes: the whole-grid sweep runs
+# 2 ISD searches, 4 corridor worst cases and 2 sizing jobs for its 8
+# cells, while each one-cell shard computes every stage itself.
+cat > "$TMP/memo.sweep" <<'PLAN'
+base = paper
+set max_repeaters = 2
+set isd_search.isd_step_m = 100
+set isd_search.sample_step_m = 50
+set sizing.years = 1
+axis radio.lp_eirp_dbm = 37, 40
+axis corridor.segments = 2, 3
+axis timetable.trains_per_hour = 8, 12
+PLAN
+"$BIN" sweep --plan "$TMP/memo.sweep" --include-sizing \
+    --out "$TMP/memo_full.csv"
+"$BIN" merge --out "$TMP/memo_single.csv" "$TMP/memo_full.csv"
+cell_shards=""
+i=0
+while [ "$i" -lt 8 ]; do
+  "$BIN" sweep --plan "$TMP/memo.sweep" --include-sizing --shard "$i/8" \
+      --out "$TMP/memo_cell$i.csv"
+  cell_shards="$cell_shards $TMP/memo_cell$i.csv"
+  i=$((i + 1))
+done
+# shellcheck disable=SC2086  # one path per word
+"$BIN" merge --out "$TMP/memo_cells.csv" $cell_shards
+if ! cmp "$TMP/memo_cells.csv" "$TMP/memo_single.csv"; then
+  echo "FAIL: one-cell shards differ from the memoized single sweep" >&2
   exit 1
 fi
 

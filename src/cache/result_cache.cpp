@@ -55,18 +55,12 @@ bool remove_segment(const std::string& path) {
   return true;
 }
 
-struct SegmentFile {
-  std::string path;
-  std::size_t size = 0;
-  /// Mtime as the filesystem reports it; the LRU eviction order key.
-  fs::file_time_type mtime{};
-};
-
-/// Every `*.seg` in `dir`, plus a sweep of orphaned `*.lock` files
-/// whose segment no longer exists (a crashed evictor's leftovers —
-/// without the sweep such a segment name would be locked forever).
-std::vector<SegmentFile> list_segments(const std::string& dir) {
-  std::vector<SegmentFile> segments;
+/// Every `*.seg` path in `dir`, sorted, plus a sweep of orphaned
+/// `*.lock` files whose segment no longer exists (a crashed evictor's
+/// leftovers — without the sweep such a segment name would be locked
+/// forever).
+std::vector<std::string> list_segments(const std::string& dir) {
+  std::vector<std::string> segments;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     const fs::path& path = entry.path();
@@ -76,18 +70,35 @@ std::vector<SegmentFile> list_segments(const std::string& dir) {
       if (!fs::exists(owner, ec)) fs::remove(path, ec);
       continue;
     }
-    if (path.extension() != ".seg") continue;
+    if (path.extension() == ".seg") segments.push_back(path.string());
+  }
+  std::sort(segments.begin(), segments.end());
+  return segments;
+}
+
+struct SegmentFile {
+  std::string path;
+  std::size_t size = 0;
+  /// Mtime as the filesystem reports it; the LRU eviction order key.
+  fs::file_time_type mtime{};
+};
+
+/// The segments of `dir` with their sizes, least recently used first.
+std::vector<SegmentFile> segments_by_age(const std::string& dir) {
+  std::vector<SegmentFile> segments;
+  std::error_code ec;
+  for (auto& path : list_segments(dir)) {
     SegmentFile segment;
-    segment.path = path.string();
     segment.size = static_cast<std::size_t>(fs::file_size(path, ec));
     if (ec) continue;  // Vanished under a concurrent evictor.
     segment.mtime = fs::last_write_time(path, ec);
     if (ec) continue;
+    segment.path = std::move(path);
     segments.push_back(std::move(segment));
   }
   std::sort(segments.begin(), segments.end(),
             [](const SegmentFile& a, const SegmentFile& b) {
-              return a.path < b.path;
+              return a.mtime < b.mtime;
             });
   return segments;
 }
@@ -108,6 +119,26 @@ std::uint64_t cell_key(std::string_view banner, std::size_t index,
   hash = fnv1a64("\n", hash);
   hash = fnv1a64(std::to_string(schema_version), hash);
   return hash;
+}
+
+std::vector<std::uint64_t> cell_keys(std::string_view banner,
+                                     std::span<const std::size_t> indices,
+                                     std::string_view header,
+                                     std::uint32_t schema_version) {
+  // cell_key's framing: the banner part is common to every cell, and
+  // the part after the index is hashed for all cells together.
+  const std::uint64_t prefix = fnv1a64("\n", fnv1a64(banner));
+  std::vector<std::uint64_t> keys;
+  keys.reserve(indices.size());
+  for (const std::size_t index : indices) {
+    keys.push_back(fnv1a64(std::to_string(index), prefix));
+  }
+  std::string tail = "\n";
+  tail += header;
+  tail += '\n';
+  tail += std::to_string(schema_version);
+  util::fnv1a64_each(tail, keys);
+  return keys;
 }
 
 std::string render_segment(const std::vector<SegmentEntry>& entries) {
@@ -200,13 +231,13 @@ SegmentParse parse_segment(std::string_view document) {
 
 DirReport scan_dir(const std::string& dir, bool drop_corrupt) {
   DirReport report;
-  for (const auto& segment : list_segments(dir)) {
-    const auto document = util::read_file_fully(segment.path);
+  for (const auto& path : list_segments(dir)) {
+    const auto document = util::read_file_fully(path);
     if (!document.has_value()) continue;  // Evicted under us.
     const auto parse = parse_segment(*document);
     if (!parse.ok) {
-      report.corrupt_files.push_back(segment.path);
-      if (drop_corrupt) remove_segment(segment.path);
+      report.corrupt_files.push_back(path);
+      if (drop_corrupt) remove_segment(path);
       continue;
     }
     ++report.segments;
@@ -217,11 +248,7 @@ DirReport scan_dir(const std::string& dir, bool drop_corrupt) {
 }
 
 std::size_t gc_dir(const std::string& dir, std::size_t max_bytes) {
-  auto segments = list_segments(dir);
-  std::sort(segments.begin(), segments.end(),
-            [](const SegmentFile& a, const SegmentFile& b) {
-              return a.mtime < b.mtime;
-            });
+  const auto segments = segments_by_age(dir);
   std::size_t total = 0;
   for (const auto& segment : segments) total += segment.size;
   std::size_t evicted = 0;
@@ -255,22 +282,23 @@ bool ResultCache::open(const Options& options, std::string* error) {
     return false;
   }
 
-  for (const auto& segment : list_segments(options_.dir)) {
-    const auto document = util::read_file_fully(segment.path);
+  for (auto& path : list_segments(options_.dir)) {
+    const auto document = util::read_file_fully(path);
     if (!document.has_value()) continue;  // Evicted under us.
-    const auto parse = parse_segment(*document);
+    auto parse = parse_segment(*document);
     if (!parse.ok) {
       // Verified-then-dropped, like a damaged shard: the segment is
       // recomputable by definition, so the only wrong move would be
       // trusting any part of it.
-      remove_segment(segment.path);
+      remove_segment(path);
       ++stats_.dropped_segments;
       continue;
     }
     const std::size_t segment_id = segments_.size();
-    segments_.push_back(segment.path);
-    for (const auto& entry : parse.entries) {
-      index_[entry.key] = IndexedRow{entry.row, segment_id};
+    segments_.push_back(std::move(path));
+    index_.reserve(index_.size() + parse.entries.size());
+    for (auto& entry : parse.entries) {
+      index_[entry.key] = IndexedRow{std::move(entry.row), segment_id};
     }
     ++stats_.segments;
   }
@@ -373,11 +401,7 @@ bool ResultCache::flush(std::string* error) {
       faults.armed(orch::FaultKind::kCacheEvict).has_value();
   if (options_.max_bytes == 0 && !evict_all) return true;
 
-  auto segments = list_segments(options_.dir);
-  std::sort(segments.begin(), segments.end(),
-            [](const SegmentFile& a, const SegmentFile& b) {
-              return a.mtime < b.mtime;
-            });
+  const auto segments = segments_by_age(options_.dir);
   std::size_t total = 0;
   for (const auto& segment : segments) total += segment.size;
   for (const auto& segment : segments) {

@@ -59,6 +59,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -77,6 +78,13 @@ inline constexpr std::uint32_t kResultSchemaVersion = 1;
 std::uint64_t cell_key(std::string_view banner, std::size_t index,
                        std::string_view header,
                        std::uint32_t schema_version = kResultSchemaVersion);
+
+/// cell_key of every index of one shard, in order: the shared banner
+/// and header are hashed for many cells at once (util::fnv1a64_each).
+std::vector<std::uint64_t> cell_keys(
+    std::string_view banner, std::span<const std::size_t> indices,
+    std::string_view header,
+    std::uint32_t schema_version = kResultSchemaVersion);
 
 /// One (key, row bytes) pair of a segment document.
 struct SegmentEntry {

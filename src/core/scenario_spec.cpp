@@ -10,7 +10,19 @@ namespace {
 
 using util::SpecEntry;
 
-/// One registry row: key + doc + typed accessors. Stateless lambdas
+/// Stage tags of the registry rows (ScenarioFieldInfo::stages).
+constexpr unsigned kIsd = static_cast<unsigned>(Stage::kIsdSearch);
+constexpr unsigned kMulti = static_cast<unsigned>(Stage::kMultiSegment);
+constexpr unsigned kSizing = static_cast<unsigned>(Stage::kSizing);
+/// Link, radio and track sampling feed both SNR stages.
+constexpr unsigned kRadio = kIsd | kMulti;
+/// The repeater spacing shapes the searched geometry, the corridor and
+/// the node's duty section alike.
+constexpr unsigned kSpacing = kIsd | kMulti | kSizing;
+/// Read only by the cheap per-cell arithmetic (or by nothing in a row).
+constexpr unsigned kNoStage = 0;
+
+/// One registry row: key + stage tags + doc + typed accessors. Stateless lambdas
 /// decay to these pointers, so the table is plain static data.
 struct Field {
   ScenarioFieldInfo info;
@@ -126,7 +138,7 @@ std::vector<solar::SizingCandidate> parse_ladder(const SpecEntry& e) {
 const std::vector<Field>& registry() {
   static const std::vector<Field> fields = {
       // ---- link / carrier --------------------------------------------
-      {{"link.carrier.center_frequency_hz",
+      {{"link.carrier.center_frequency_hz", kRadio,
         "carrier centre frequency [Hz] (paper: 3.5e9)"},
        [](const Scenario& s) {
          return util::format_double(s.link.carrier.center_frequency_hz());
@@ -137,7 +149,7 @@ const std::vector<Field>& registry() {
                           s.link.carrier.bandwidth_hz(),
                           s.link.carrier.subcarriers());
        }},
-      {{"link.carrier.bandwidth_hz",
+      {{"link.carrier.bandwidth_hz", kRadio,
         "occupied bandwidth [Hz] (paper: 100e6)"},
        [](const Scenario& s) {
          return util::format_double(s.link.carrier.bandwidth_hz());
@@ -147,7 +159,7 @@ const std::vector<Field>& registry() {
              s.link.carrier.center_frequency_hz(),
              util::parse_double(e), s.link.carrier.subcarriers());
        }},
-      {{"link.carrier.subcarriers",
+      {{"link.carrier.subcarriers", kRadio,
         "active subcarriers (paper: 3300)"},
        [](const Scenario& s) {
          return util::format_int(s.link.carrier.subcarriers());
@@ -158,7 +170,7 @@ const std::vector<Field>& registry() {
              s.link.carrier.bandwidth_hz(), util::parse_int(e));
        }},
       // ---- link / noise ----------------------------------------------
-      {{"link.noise.thermal_per_subcarrier_dbm",
+      {{"link.noise.thermal_per_subcarrier_dbm", kRadio,
         "thermal floor per subcarrier N_RSRP [dBm] (paper: -132)"},
        [](const Scenario& s) {
          return util::format_double(
@@ -167,7 +179,7 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.link.noise.thermal_per_subcarrier = Dbm(util::parse_double(e));
        }},
-      {{"link.noise.nf_mobile_terminal_db",
+      {{"link.noise.nf_mobile_terminal_db", kRadio,
         "mobile-terminal noise figure NF_MT [dB] (paper: 5)"},
        [](const Scenario& s) {
          return util::format_double(s.link.noise.nf_mobile_terminal.value());
@@ -175,7 +187,7 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.link.noise.nf_mobile_terminal = Db(util::parse_double(e));
        }},
-      {{"link.noise.nf_repeater_db",
+      {{"link.noise.nf_repeater_db", kRadio,
         "repeater noise figure NF_LP [dB] (paper: 8)"},
        [](const Scenario& s) {
          return util::format_double(s.link.noise.nf_repeater.value());
@@ -183,7 +195,7 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.link.noise.nf_repeater = Db(util::parse_double(e));
        }},
-      {{"link.noise_model",
+      {{"link.noise_model", kRadio,
         "repeater-noise reading of Eq. (2): literal_eq2 | fronthaul_aware"},
        [](const Scenario& s) {
          return std::string(s.link.noise_model ==
@@ -205,7 +217,7 @@ const std::vector<Field>& registry() {
          }
        }},
       // ---- link / fronthaul ------------------------------------------
-      {{"link.fronthaul.snr_at_ref_db",
+      {{"link.fronthaul.snr_at_ref_db", kRadio,
         "fronthaul SNR at the reference distance [dB]"},
        [](const Scenario& s) {
          return util::format_double(s.link.fronthaul.snr_at_ref().value());
@@ -215,7 +227,7 @@ const std::vector<Field>& registry() {
              util::parse_double(e), s.link.fronthaul.ref_distance_m(),
              s.link.fronthaul.atmospheric_db_per_km());
        }},
-      {{"link.fronthaul.ref_distance_m",
+      {{"link.fronthaul.ref_distance_m", kRadio,
         "fronthaul reference distance [m]"},
        [](const Scenario& s) {
          return util::format_double(s.link.fronthaul.ref_distance_m());
@@ -225,7 +237,7 @@ const std::vector<Field>& registry() {
              s.link.fronthaul.snr_at_ref().value(), util::parse_double(e),
              s.link.fronthaul.atmospheric_db_per_km());
        }},
-      {{"link.fronthaul.atmospheric_db_per_km",
+      {{"link.fronthaul.atmospheric_db_per_km", kRadio,
         "distance-proportional fronthaul loss [dB/km]"},
        [](const Scenario& s) {
          return util::format_double(s.link.fronthaul.atmospheric_db_per_km());
@@ -235,7 +247,7 @@ const std::vector<Field>& registry() {
              s.link.fronthaul.snr_at_ref().value(),
              s.link.fronthaul.ref_distance_m(), util::parse_double(e));
        }},
-      {{"link.min_distance_m",
+      {{"link.min_distance_m", kRadio,
         "near-field clamp of the Friis model [m] (paper: 1)"},
        [](const Scenario& s) {
          return util::format_double(s.link.min_distance_m);
@@ -244,21 +256,22 @@ const std::vector<Field>& registry() {
          s.link.min_distance_m = util::parse_double(e);
        }},
       // ---- radio ------------------------------------------------------
-      {{"radio.hp_eirp_dbm", "high-power RRH EIRP [dBm] (paper: 64)"},
+      {{"radio.hp_eirp_dbm", kRadio, "high-power RRH EIRP [dBm] (paper: 64)"},
        [](const Scenario& s) {
          return util::format_double(s.radio.hp_eirp.value());
        },
        [](Scenario& s, const SpecEntry& e) {
          s.radio.hp_eirp = Dbm(util::parse_double(e));
        }},
-      {{"radio.lp_eirp_dbm", "low-power repeater EIRP [dBm] (paper: 40)"},
+      {{"radio.lp_eirp_dbm", kRadio,
+        "low-power repeater EIRP [dBm] (paper: 40)"},
        [](const Scenario& s) {
          return util::format_double(s.radio.lp_eirp.value());
        },
        [](Scenario& s, const SpecEntry& e) {
          s.radio.lp_eirp = Dbm(util::parse_double(e));
        }},
-      {{"radio.hp_calibration_db",
+      {{"radio.hp_calibration_db", kRadio,
         "HP port-to-port calibration loss [dB] (paper: 33)"},
        [](const Scenario& s) {
          return util::format_double(s.radio.hp_calibration.value());
@@ -266,7 +279,7 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.radio.hp_calibration = Db(util::parse_double(e));
        }},
-      {{"radio.lp_calibration_db",
+      {{"radio.lp_calibration_db", kRadio,
         "LP port-to-port calibration loss [dB] (paper: 20)"},
        [](const Scenario& s) {
          return util::format_double(s.radio.lp_calibration.value());
@@ -275,7 +288,7 @@ const std::vector<Field>& registry() {
          s.radio.lp_calibration = Db(util::parse_double(e));
        }},
       // ---- throughput -------------------------------------------------
-      {{"throughput.alpha",
+      {{"throughput.alpha", kNoStage,
         "Shannon attenuation factor (paper: 0.6)"},
        [](const Scenario& s) {
          return util::format_double(s.throughput.alpha());
@@ -285,7 +298,7 @@ const std::vector<Field>& registry() {
              throughput_with(util::parse_double(e), s.throughput.se_max_bps_hz(),
                              s.throughput.snr_min().value());
        }},
-      {{"throughput.se_max_bps_hz",
+      {{"throughput.se_max_bps_hz", kNoStage,
         "peak spectral efficiency [bps/Hz] (paper: 5.84)"},
        [](const Scenario& s) {
          return util::format_double(s.throughput.se_max_bps_hz());
@@ -295,7 +308,7 @@ const std::vector<Field>& registry() {
                                         util::parse_double(e),
                                         s.throughput.snr_min().value());
        }},
-      {{"throughput.snr_min_db",
+      {{"throughput.snr_min_db", kNoStage,
         "SNR below which throughput is zero [dB] (paper: -10)"},
        [](const Scenario& s) {
          return util::format_double(s.throughput.snr_min().value());
@@ -306,21 +319,21 @@ const std::vector<Field>& registry() {
                                         util::parse_double(e));
        }},
       // ---- isd search -------------------------------------------------
-      {{"isd_search.isd_step_m", "ISD grid step [m] (paper: 50)"},
+      {{"isd_search.isd_step_m", kIsd, "ISD grid step [m] (paper: 50)"},
        [](const Scenario& s) {
          return util::format_double(s.isd_search.isd_step_m);
        },
        [](Scenario& s, const SpecEntry& e) {
          s.isd_search.isd_step_m = util::parse_double(e);
        }},
-      {{"isd_search.max_isd_m", "sweep upper bound [m] (default: 3600)"},
+      {{"isd_search.max_isd_m", kIsd, "sweep upper bound [m] (default: 3600)"},
        [](const Scenario& s) {
          return util::format_double(s.isd_search.max_isd_m);
        },
        [](Scenario& s, const SpecEntry& e) {
          s.isd_search.max_isd_m = util::parse_double(e);
        }},
-      {{"isd_search.snr_threshold_db",
+      {{"isd_search.snr_threshold_db", kIsd,
         "peak-throughput SNR criterion [dB] (paper: 29)"},
        [](const Scenario& s) {
          return util::format_double(s.isd_search.snr_threshold.value());
@@ -328,7 +341,7 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.isd_search.snr_threshold = Db(util::parse_double(e));
        }},
-      {{"isd_search.sample_step_m",
+      {{"isd_search.sample_step_m", kRadio,
         "track sampling step for the min-SNR check [m] (default: 10)"},
        [](const Scenario& s) {
          return util::format_double(s.isd_search.sample_step_m);
@@ -337,7 +350,7 @@ const std::vector<Field>& registry() {
          s.isd_search.sample_step_m = util::parse_double(e);
        }},
       // ---- timetable (kept coherent across both copies) ---------------
-      {{"timetable.trains_per_hour",
+      {{"timetable.trains_per_hour", kSizing,
         "trains per operating hour (paper: 8)"},
        [](const Scenario& s) {
          return util::format_double(s.timetable.trains_per_hour);
@@ -348,7 +361,7 @@ const std::vector<Field>& registry() {
            t.trains_per_hour = v;
          });
        }},
-      {{"timetable.night_hours",
+      {{"timetable.night_hours", kSizing,
         "nightly pause without traffic [h] (paper: 5)"},
        [](const Scenario& s) {
          return util::format_double(s.timetable.night_hours);
@@ -359,7 +372,7 @@ const std::vector<Field>& registry() {
            t.night_hours = v;
          });
        }},
-      {{"timetable.night_start_hour",
+      {{"timetable.night_start_hour", kSizing,
         "start of the nightly pause [h since midnight] (default: 0.5)"},
        [](const Scenario& s) {
          return util::format_double(s.timetable.night_start_hour);
@@ -370,7 +383,7 @@ const std::vector<Field>& registry() {
            t.night_start_hour = v;
          });
        }},
-      {{"timetable.train.length_m", "train length [m] (paper: 400)"},
+      {{"timetable.train.length_m", kSizing, "train length [m] (paper: 400)"},
        [](const Scenario& s) {
          return util::format_double(s.timetable.train.length_m);
        },
@@ -380,7 +393,7 @@ const std::vector<Field>& registry() {
            t.train.length_m = v;
          });
        }},
-      {{"timetable.train.speed_mps",
+      {{"timetable.train.speed_mps", kSizing,
         "train speed [m/s] (paper: 200 km/h = 55.55...)"},
        [](const Scenario& s) {
          return util::format_double(s.timetable.train.speed_mps);
@@ -392,7 +405,8 @@ const std::vector<Field>& registry() {
          });
        }},
       // ---- energy -----------------------------------------------------
-      {{"energy.hp_rrh.p_max_w", "HP RRH max RF power [W] (paper: 40)"},
+      {{"energy.hp_rrh.p_max_w", kNoStage,
+        "HP RRH max RF power [W] (paper: 40)"},
        [](const Scenario& s) {
          return util::format_double(s.energy.hp_rrh.max_rf_power().value());
        },
@@ -402,7 +416,8 @@ const std::vector<Field>& registry() {
                                       s.energy.hp_rrh.delta_p(),
                                       s.energy.hp_rrh.sleep_power().value());
        }},
-      {{"energy.hp_rrh.p0_w", "HP RRH no-load power [W] (paper: 168)"},
+      {{"energy.hp_rrh.p0_w", kNoStage,
+        "HP RRH no-load power [W] (paper: 168)"},
        [](const Scenario& s) {
          return util::format_double(s.energy.hp_rrh.no_load_power().value());
        },
@@ -412,7 +427,7 @@ const std::vector<Field>& registry() {
                                       s.energy.hp_rrh.delta_p(),
                                       s.energy.hp_rrh.sleep_power().value());
        }},
-      {{"energy.hp_rrh.delta_p", "HP RRH load slope (paper: 2.8)"},
+      {{"energy.hp_rrh.delta_p", kNoStage, "HP RRH load slope (paper: 2.8)"},
        [](const Scenario& s) {
          return util::format_double(s.energy.hp_rrh.delta_p());
        },
@@ -422,7 +437,8 @@ const std::vector<Field>& registry() {
                                       util::parse_double(e),
                                       s.energy.hp_rrh.sleep_power().value());
        }},
-      {{"energy.hp_rrh.p_sleep_w", "HP RRH sleep power [W] (paper: 112)"},
+      {{"energy.hp_rrh.p_sleep_w", kNoStage,
+        "HP RRH sleep power [W] (paper: 112)"},
        [](const Scenario& s) {
          return util::format_double(s.energy.hp_rrh.sleep_power().value());
        },
@@ -432,7 +448,8 @@ const std::vector<Field>& registry() {
                                       s.energy.hp_rrh.delta_p(),
                                       util::parse_double(e));
        }},
-      {{"energy.lp_node.p_max_w", "LP node max RF power [W] (paper: 1)"},
+      {{"energy.lp_node.p_max_w", kSizing,
+        "LP node max RF power [W] (paper: 1)"},
        [](const Scenario& s) {
          return util::format_double(s.energy.lp_node.max_rf_power().value());
        },
@@ -442,7 +459,8 @@ const std::vector<Field>& registry() {
                                        s.energy.lp_node.delta_p(),
                                        s.energy.lp_node.sleep_power().value());
        }},
-      {{"energy.lp_node.p0_w", "LP node no-load power [W] (paper: 24.26)"},
+      {{"energy.lp_node.p0_w", kSizing,
+        "LP node no-load power [W] (paper: 24.26)"},
        [](const Scenario& s) {
          return util::format_double(s.energy.lp_node.no_load_power().value());
        },
@@ -452,7 +470,7 @@ const std::vector<Field>& registry() {
                                        s.energy.lp_node.delta_p(),
                                        s.energy.lp_node.sleep_power().value());
        }},
-      {{"energy.lp_node.delta_p", "LP node load slope (paper: 4.0)"},
+      {{"energy.lp_node.delta_p", kSizing, "LP node load slope (paper: 4.0)"},
        [](const Scenario& s) {
          return util::format_double(s.energy.lp_node.delta_p());
        },
@@ -462,7 +480,8 @@ const std::vector<Field>& registry() {
                                        util::parse_double(e),
                                        s.energy.lp_node.sleep_power().value());
        }},
-      {{"energy.lp_node.p_sleep_w", "LP node sleep power [W] (paper: 4.72)"},
+      {{"energy.lp_node.p_sleep_w", kSizing,
+        "LP node sleep power [W] (paper: 4.72)"},
        [](const Scenario& s) {
          return util::format_double(s.energy.lp_node.sleep_power().value());
        },
@@ -472,14 +491,14 @@ const std::vector<Field>& registry() {
                                        s.energy.lp_node.delta_p(),
                                        util::parse_double(e));
        }},
-      {{"energy.rrhs_per_mast", "RRH sectors per HP mast (paper: 2)"},
+      {{"energy.rrhs_per_mast", kNoStage, "RRH sectors per HP mast (paper: 2)"},
        [](const Scenario& s) {
          return util::format_int(s.energy.rrhs_per_mast);
        },
        [](Scenario& s, const SpecEntry& e) {
          s.energy.rrhs_per_mast = util::parse_int(e);
        }},
-      {{"energy.hp_sleep_when_idle",
+      {{"energy.hp_sleep_when_idle", kNoStage,
         "baseline HP masts sleep between trains (paper: true)"},
        [](const Scenario& s) {
          return util::format_bool(s.energy.hp_sleep_when_idle);
@@ -488,19 +507,19 @@ const std::vector<Field>& registry() {
          s.energy.hp_sleep_when_idle = util::parse_bool(e);
        }},
       // ---- study shape ------------------------------------------------
-      {{"max_repeaters",
+      {{"max_repeaters", kIsd,
         "largest repeater count in the sweep / Fig. 4 (paper: 10)"},
        [](const Scenario& s) { return util::format_int(s.max_repeaters); },
        [](Scenario& s, const SpecEntry& e) {
          s.max_repeaters = util::parse_int(e);
        }},
-      {{"corridor.segments",
+      {{"corridor.segments", kMulti,
         "identical segments chained for multi-segment analyses (default: 1)"},
        [](const Scenario& s) { return util::format_int(s.corridor_segments); },
        [](Scenario& s, const SpecEntry& e) {
          s.corridor_segments = util::parse_int(e);
        }},
-      {{"corridor.repeater_spacing_m",
+      {{"corridor.repeater_spacing_m", kSpacing,
         "node-to-node spacing of the repeater cluster [m] (paper: 200)"},
        [](const Scenario& s) {
          return util::format_double(s.repeater_spacing_m);
@@ -509,18 +528,18 @@ const std::vector<Field>& registry() {
          s.repeater_spacing_m = util::parse_double(e);
        }},
       // ---- sizing -----------------------------------------------------
-      {{"sizing.years",
+      {{"sizing.years", kSizing,
         "weather years per sizing candidate (default: 3)"},
        [](const Scenario& s) { return util::format_int(s.sizing.years); },
        [](Scenario& s, const SpecEntry& e) {
          s.sizing.years = util::parse_int(e);
        }},
-      {{"sizing.seed", "sizing RNG seed (default: 1592639491)"},
+      {{"sizing.seed", kSizing, "sizing RNG seed (default: 1592639491)"},
        [](const Scenario& s) { return util::format_u64(s.sizing.seed); },
        [](Scenario& s, const SpecEntry& e) {
          s.sizing.seed = util::parse_u64(e);
        }},
-      {{"sizing.weather.kt_sigma",
+      {{"sizing.weather.kt_sigma", kSizing,
         "daily clearness-index deviation (default: 0.13)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.weather.kt_sigma);
@@ -528,7 +547,7 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.sizing.weather.kt_sigma = util::parse_double(e);
        }},
-      {{"sizing.weather.kt_autocorrelation",
+      {{"sizing.weather.kt_autocorrelation", kSizing,
         "day-to-day clearness autocorrelation (default: 0.75)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.weather.kt_autocorrelation);
@@ -536,21 +555,23 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.sizing.weather.kt_autocorrelation = util::parse_double(e);
        }},
-      {{"sizing.weather.kt_min", "clearness clamp, lower (default: 0.05)"},
+      {{"sizing.weather.kt_min", kSizing,
+        "clearness clamp, lower (default: 0.05)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.weather.kt_min);
        },
        [](Scenario& s, const SpecEntry& e) {
          s.sizing.weather.kt_min = util::parse_double(e);
        }},
-      {{"sizing.weather.kt_max", "clearness clamp, upper (default: 0.75)"},
+      {{"sizing.weather.kt_max", kSizing,
+        "clearness clamp, upper (default: 0.75)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.weather.kt_max);
        },
        [](Scenario& s, const SpecEntry& e) {
          s.sizing.weather.kt_max = util::parse_double(e);
        }},
-      {{"sizing.weather.winter_sigma_boost",
+      {{"sizing.weather.winter_sigma_boost", kSizing,
         "extra winter clearness variability (default: 1.0)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.weather.winter_sigma_boost);
@@ -558,7 +579,7 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.sizing.weather.winter_sigma_boost = util::parse_double(e);
        }},
-      {{"sizing.plane.tilt_deg",
+      {{"sizing.plane.tilt_deg", kSizing,
         "PV tilt from horizontal [deg] (paper: 90, catenary mast)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.plane.tilt_deg);
@@ -566,7 +587,7 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.sizing.plane.tilt_deg = util::parse_double(e);
        }},
-      {{"sizing.plane.azimuth_deg",
+      {{"sizing.plane.azimuth_deg", kSizing,
         "PV azimuth [deg], 0 = equator-facing (paper: 0)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.plane.azimuth_deg);
@@ -574,14 +595,14 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.sizing.plane.azimuth_deg = util::parse_double(e);
        }},
-      {{"sizing.plane.albedo", "ground albedo (default: 0.2)"},
+      {{"sizing.plane.albedo", kSizing, "ground albedo (default: 0.2)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.plane.albedo);
        },
        [](Scenario& s, const SpecEntry& e) {
          s.sizing.plane.albedo = util::parse_double(e);
        }},
-      {{"sizing.locations",
+      {{"sizing.locations", kSizing,
         "comma-separated sizing sites from the named catalog "
         "(paper: madrid,lyon,vienna,berlin); use ';' separators inside "
         "sweep axis values"},
@@ -596,7 +617,7 @@ const std::vector<Field>& registry() {
        [](Scenario& s, const SpecEntry& e) {
          s.sizing_locations = parse_locations(e);
        }},
-      {{"sizing.ladder",
+      {{"sizing.ladder", kSizing,
         "PV/battery candidates in cost order, <pv_wp>:<battery_wh> pairs "
         "(paper: 540:720,...,720:2160); use ';' separators inside sweep "
         "axis values"},
@@ -623,6 +644,14 @@ const Field* find_field(std::string_view key) {
   return nullptr;
 }
 
+void append_line(std::string& out, const Field& field,
+                 const Scenario& scenario) {
+  out += field.info.key;
+  out += " = ";
+  out += field.get(scenario);
+  out += '\n';
+}
+
 }  // namespace
 
 const std::vector<ScenarioFieldInfo>& scenario_fields() {
@@ -637,11 +666,14 @@ const std::vector<ScenarioFieldInfo>& scenario_fields() {
 
 std::string to_spec(const Scenario& scenario) {
   std::string out;
+  for (const auto& field : registry()) append_line(out, field, scenario);
+  return out;
+}
+
+std::string stage_spec(const Scenario& scenario, Stage stage) {
+  std::string out;
   for (const auto& field : registry()) {
-    out += field.info.key;
-    out += " = ";
-    out += field.get(scenario);
-    out += '\n';
+    if (field.info.read_by(stage)) append_line(out, field, scenario);
   }
   return out;
 }

@@ -12,6 +12,10 @@
 /// spec is exactly `Scenario::paper()` and a spec file only needs the
 /// deltas.
 ///
+/// Each entry is also tagged with the heavy cell stages that read it
+/// (`Stage`); `stage_spec` renders just those fields, which is the key
+/// the sweep runner shares stage results under.
+///
 /// Coherence rule: the paper's timetable appears twice in the aggregate
 /// (`Scenario::timetable` and `Scenario::energy.timetable`); the spec
 /// layer treats it as one logical object — `timetable.*` setters write
@@ -29,12 +33,31 @@
 
 namespace railcorr::core {
 
+/// The heavy model stages of a sweep cell, as bits of
+/// ScenarioFieldInfo::stages. The cheap rest of a row (energy, duty)
+/// reads the whole scenario and is recomputed per cell.
+enum class Stage : unsigned {
+  /// The max-ISD search over N = 1..max_repeaters.
+  kIsdSearch = 1u << 0,
+  /// The whole-corridor worst case over corridor.segments segments at
+  /// the searched deployment (which the caller adds to the stage key).
+  kMultiSegment = 1u << 1,
+  /// The off-grid PV sizing job (solar::SizingJob).
+  kSizing = 1u << 2,
+};
+
 /// Public description of one registered scenario field (for docs, CLI
 /// `show`, and error messages).
 struct ScenarioFieldInfo {
   std::string_view key;
+  /// Bit set of the Stage values whose result depends on this field.
+  unsigned stages = 0;
   /// Short human description including the paper default.
   std::string_view doc;
+
+  [[nodiscard]] bool read_by(Stage stage) const {
+    return (stages & static_cast<unsigned>(stage)) != 0;
+  }
 };
 
 /// All registered key paths, in emission order.
@@ -44,6 +67,12 @@ const std::vector<ScenarioFieldInfo>& scenario_fields();
 /// order, deterministic formatting). parse(to_spec(s)) == s for any
 /// spec-reachable Scenario.
 std::string to_spec(const Scenario& scenario);
+
+/// The to_spec lines of exactly the fields `stage` reads, in registry
+/// order. Two scenarios with equal stage specs get the same result from
+/// that stage (tests/core/scenario_spec_test.cpp checks every untagged
+/// key), so the text is a collision-free memo key for it.
+std::string stage_spec(const Scenario& scenario, Stage stage);
 
 /// Apply one override. Throws util::ConfigError on an unknown key or a
 /// malformed/invalid value (the message names key and line).

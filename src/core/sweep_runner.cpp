@@ -1,6 +1,7 @@
 #include "core/sweep_runner.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "core/evaluator.hpp"
 #include "obs/metrics.hpp"
@@ -35,22 +36,74 @@ struct CellMetrics {
   int ladder_exhausted = 0;
 };
 
+/// Per-call memo of a cell's heavy stages. Each result is keyed by the
+/// full stage_spec text of the fields its stage reads, never by a bare
+/// hash: a collision would hand a cell another input's result and emit
+/// a silently wrong row. One memo lives for one run_sweep_shard call,
+/// so the accuracy mode and SIMD level are constant over its lifetime.
+class StageMemo {
+ public:
+  DeepestDeployment deepest(const Scenario& scenario) {
+    return lookup(deepest_, stage_spec(scenario, Stage::kIsdSearch),
+                  [&] { return deepest_deployment(scenario); });
+  }
+
+  double corridor_min_snr(const Scenario& scenario,
+                          const DeepestDeployment& deployment) {
+    // The stage also reads the ISD search's result.
+    std::string key = stage_spec(scenario, Stage::kMultiSegment);
+    key += "@deployment ";
+    key += util::format_int(deployment.repeater_count);
+    key += ' ';
+    key += util::format_double(deployment.isd_m);
+    return lookup(corridor_min_snr_, std::move(key),
+                  [&] { return corridor_min_snr_db(scenario, deployment); });
+  }
+
+  /// Index of the scenario's sizing job in `jobs`, appended on first
+  /// sight, so identical jobs are simulated once.
+  std::size_t sizing_job_index(const Scenario& scenario,
+                               std::vector<solar::SizingJob>& jobs) {
+    return lookup(sizing_, stage_spec(scenario, Stage::kSizing), [&] {
+      jobs.push_back(sizing_job(scenario));
+      return jobs.size() - 1;
+    });
+  }
+
+ private:
+  template <class T, class Compute>
+  T lookup(std::unordered_map<std::string, T>& memo, std::string key,
+           Compute&& compute) {
+    if (const auto it = memo.find(key); it != memo.end()) {
+      hits_.add();
+      return it->second;
+    }
+    misses_.add();
+    return memo.emplace(std::move(key), compute()).first->second;
+  }
+
+  obs::Counter& hits_ =
+      obs::MetricsRegistry::instance().counter("sweep.stage_memo_hits");
+  obs::Counter& misses_ =
+      obs::MetricsRegistry::instance().counter("sweep.stage_memo_misses");
+  std::unordered_map<std::string, DeepestDeployment> deepest_;
+  std::unordered_map<std::string, double> corridor_min_snr_;
+  std::unordered_map<std::string, std::size_t> sizing_;
+};
+
+/// The row's metrics. Without a memo every stage is computed here (the
+/// per-cell oracle); with one, the heavy stages come from it.
 CellMetrics evaluate_metrics(const Scenario& scenario,
                              const SweepRunOptions& options,
-                             const std::vector<solar::SizingResult>* sized) {
+                             const std::vector<solar::SizingResult>* sized,
+                             StageMemo* memo) {
   CellMetrics m;
-  const PaperEvaluator evaluator(scenario);
-
-  // The deepest deployment the scenario's criterion still supports.
-  const auto sweep = evaluator.max_isd_sweep();
-  for (auto it = sweep.rbegin(); it != sweep.rend(); ++it) {
-    if (it->max_isd_m.has_value()) {
-      m.max_n = it->repeater_count;
-      m.max_isd_m = *it->max_isd_m;
-      m.min_snr_at_max_db = it->min_snr_at_max.value();
-      break;
-    }
-  }
+  const DeepestDeployment deepest = memo != nullptr
+                                        ? memo->deepest(scenario)
+                                        : deepest_deployment(scenario);
+  m.max_n = deepest.repeater_count;
+  m.max_isd_m = deepest.isd_m;
+  m.min_snr_at_max_db = deepest.min_snr_db;
 
   const auto energy_model = scenario.make_energy_model();
   const auto baseline = energy_model.conventional_baseline();
@@ -78,19 +131,9 @@ CellMetrics evaluate_metrics(const Scenario& scenario,
     // Whole-corridor worst case with every neighbour contributing;
     // equals the single-segment minimum when corridor.segments == 1.
     if (scenario.corridor_segments > 1) {
-      corridor::SegmentDeployment segment;
-      segment.geometry = geometry;
-      segment.radio = scenario.radio;
-      const corridor::MultiSegmentAnalyzer analyzer(
-          scenario.link, scenario.isd_search.sample_step_m);
-      const auto per_segment = analyzer.per_segment(
-          corridor::CorridorDeployment::repeat(segment,
-                                               scenario.corridor_segments));
-      double worst = per_segment.front().min_snr.value();
-      for (const auto& seg : per_segment) {
-        worst = std::min(worst, seg.min_snr.value());
-      }
-      m.corridor_min_snr_db = worst;
+      m.corridor_min_snr_db =
+          memo != nullptr ? memo->corridor_min_snr(scenario, deepest)
+                          : corridor_min_snr_db(scenario, deepest);
     } else {
       m.corridor_min_snr_db = m.min_snr_at_max_db;
     }
@@ -106,7 +149,9 @@ CellMetrics evaluate_metrics(const Scenario& scenario,
     // A caller-provided sizing result (the shard runner's batched
     // simulation) is bit-identical to the per-cell evaluator path, so
     // the reduced columns cannot depend on which route produced it.
-    const auto results = sized != nullptr ? *sized : evaluator.table4_sizing();
+    const auto results = sized != nullptr
+                             ? *sized
+                             : PaperEvaluator(scenario).table4_sizing();
     for (const auto& result : results) {
       m.sized_pv_wp_total += result.chosen.pv_wp;
       if (result.ladder_exhausted) ++m.ladder_exhausted;
@@ -120,8 +165,9 @@ CellMetrics evaluate_metrics(const Scenario& scenario,
 std::string render_row(const corridor::SweepPlan& plan, std::size_t index,
                        const Scenario& scenario,
                        const SweepRunOptions& options,
-                       const std::vector<solar::SizingResult>* sized) {
-  const CellMetrics m = evaluate_metrics(scenario, options, sized);
+                       const std::vector<solar::SizingResult>* sized,
+                       StageMemo* memo) {
+  const CellMetrics m = evaluate_metrics(scenario, options, sized, memo);
 
   std::string row = util::format_u64(index);
   const auto field = [&row](const std::string& value) {
@@ -153,6 +199,41 @@ std::string render_row(const corridor::SweepPlan& plan, std::size_t index,
 
 }  // namespace
 
+DeepestDeployment deepest_deployment(const Scenario& scenario) {
+  const auto sweep = PaperEvaluator(scenario).max_isd_sweep();
+  for (auto it = sweep.rbegin(); it != sweep.rend(); ++it) {
+    if (it->max_isd_m.has_value()) {
+      return {it->repeater_count, *it->max_isd_m, it->min_snr_at_max.value()};
+    }
+  }
+  return {};
+}
+
+double corridor_min_snr_db(const Scenario& scenario,
+                           const DeepestDeployment& deployment) {
+  corridor::SegmentDeployment segment;
+  segment.geometry.isd_m = deployment.isd_m;
+  segment.geometry.repeater_count = deployment.repeater_count;
+  segment.geometry.repeater_spacing_m = scenario.repeater_spacing_m;
+  segment.radio = scenario.radio;
+  const corridor::MultiSegmentAnalyzer analyzer(
+      scenario.link, scenario.isd_search.sample_step_m);
+  const auto per_segment = analyzer.per_segment(
+      corridor::CorridorDeployment::repeat(segment,
+                                           scenario.corridor_segments));
+  double worst = per_segment.front().min_snr.value();
+  for (const auto& seg : per_segment) {
+    worst = std::min(worst, seg.min_snr.value());
+  }
+  return worst;
+}
+
+solar::SizingJob sizing_job(const Scenario& scenario) {
+  return solar::SizingJob{scenario.sizing_locations,
+                          scenario.repeater_consumption_profile(),
+                          scenario.sizing, scenario.sizing_ladder};
+}
+
 std::vector<std::string> sweep_metric_columns(const SweepRunOptions& options) {
   std::vector<std::string> columns = {
       "max_n",           "max_isd_m",         "min_snr_at_max_db",
@@ -179,7 +260,7 @@ std::string evaluate_sweep_cell(const corridor::SweepPlan& plan,
                                 std::size_t index,
                                 const SweepRunOptions& options) {
   const Scenario scenario = scenario_at(plan, index);
-  return render_row(plan, index, scenario, options, nullptr);
+  return render_row(plan, index, scenario, options, nullptr, nullptr);
 }
 
 std::string run_sweep_shard(const corridor::SweepPlan& plan,
@@ -215,41 +296,44 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   cache::ResultCache* cache =
       options.cache != nullptr && options.cache->is_open() ? options.cache
                                                            : nullptr;
-  const auto key_of = [&](std::size_t index) {
-    return cache::cell_key(banner, index, header);
-  };
+  const std::vector<std::uint64_t> keys =
+      cache != nullptr ? cache::cell_keys(banner, indices, header)
+                       : std::vector<std::uint64_t>{};
+  // Cells of this call that share a stage's inputs share its result.
+  StageMemo memo;
 
   if (!options.include_sizing) {
+    const auto evaluate = [&](std::size_t index) {
+      return render_row(plan, index, scenario_at(plan, index), options,
+                        nullptr, &memo);
+    };
     // Cells run sequentially: each cell's evaluator already saturates
     // the exec engine's thread pool (grid parallelism is what the
     // shards are for), and sequential emission keeps the document
     // trivially ordered.
-    std::size_t done = 0;
-    for (const std::size_t index : indices) {
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      const std::size_t index = indices[i];
       const std::uint64_t start = timed ? obs::usec_now() : 0;
       std::uint64_t usec = 0;
       {
         const obs::ObsSpan span("cell", "sweep", "index", index);
-        std::string row;
-        if (cache != nullptr) {
-          const std::uint64_t key = key_of(index);
-          if (const auto hit = cache->lookup(key)) {
-            row = std::string(*hit);
-            cached_counter.add();
-          } else {
-            row = evaluate_sweep_cell(plan, index, options);
-            cache->insert(key, row);
-          }
+        if (cache == nullptr) {
+          document += evaluate(index);
+        } else if (const auto hit = cache->lookup(keys[i])) {
+          document += *hit;
+          cached_counter.add();
         } else {
-          row = evaluate_sweep_cell(plan, index, options);
+          const std::string row = evaluate(index);
+          cache->insert(keys[i], row);
+          document += row;
         }
-        document += row + "\n";
+        document += '\n';
         usec = cell_usec(start);
       }
       cells_counter.add();
       if (metrics.enabled()) cell_hist.record(usec);
       if (options.progress) {
-        options.progress(index, ++done, indices.size(), usec);
+        options.progress(index, i + 1, indices.size(), usec);
       }
     }
     if (cache != nullptr) cache->flush();
@@ -257,14 +341,15 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   }
 
   // Sizing runs batch the off-grid simulations across the whole shard:
-  // every cell's (locations x ladder) grid goes into one size_jobs
-  // call, which synthesizes each distinct weather tuple once and steps
-  // all systems through it in SoA batches. Cells that vary only
-  // non-sizing axes therefore pay for weather once per location for
-  // the entire shard instead of once per cell. size_jobs results are
-  // bit-identical to the per-cell evaluator path, so the emitted rows
-  // are byte-identical to evaluate_sweep_cell's (the merge contract
-  // does not see the batching).
+  // every distinct sizing job (the memo collapses cells whose sizing
+  // inputs agree) goes into one size_jobs call, which synthesizes each
+  // distinct weather tuple once and steps all systems through it in SoA
+  // batches. Cells that vary only non-sizing axes therefore pay for
+  // weather once per location for the entire shard instead of once per
+  // cell. size_jobs results are bit-identical to the per-cell evaluator
+  // path, so the emitted rows are byte-identical to
+  // evaluate_sweep_cell's (the merge contract does not see the
+  // batching).
   // Cache hits are resolved before the batch is formed, so only missed
   // cells pay for weather synthesis — the incremental-sweep win
   // compounds with the batching one.
@@ -278,7 +363,7 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
       continue;
     }
     const std::uint64_t start = timed ? obs::usec_now() : 0;
-    if (const auto hit = cache->lookup(key_of(indices[i]))) {
+    if (const auto hit = cache->lookup(keys[i])) {
       rows[i] = std::string(*hit);
       usecs[i] = cell_usec(start);
       cached_counter.add();
@@ -289,21 +374,18 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
 
   std::vector<Scenario> scenarios;
   std::vector<solar::SizingJob> jobs;
+  std::vector<std::size_t> job_of;  // per missed cell, index into `jobs`
   scenarios.reserve(missed.size());
-  jobs.reserve(missed.size());
+  job_of.reserve(missed.size());
   for (const std::size_t i : missed) {
-    Scenario scenario = scenario_at(plan, indices[i]);
-    jobs.push_back(solar::SizingJob{scenario.sizing_locations,
-                                    scenario.repeater_consumption_profile(),
-                                    scenario.sizing,
-                                    scenario.sizing_ladder});
-    scenarios.push_back(std::move(scenario));
+    scenarios.push_back(scenario_at(plan, indices[i]));
+    job_of.push_back(memo.sizing_job_index(scenarios.back(), jobs));
   }
   const auto sized = [&] {
     // The batch is shared across cells, so it gets its own span rather
     // than being smeared into per-cell figures.
-    const obs::ObsSpan batch_span("sizing_batch", "sweep", "cells",
-                                  missed.size());
+    const obs::ObsSpan batch_span("sizing_batch", "sweep", "jobs",
+                                  jobs.size());
     return solar::size_jobs(jobs);
   }();
   for (std::size_t j = 0; j < missed.size(); ++j) {
@@ -311,10 +393,11 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
     const std::uint64_t start = timed ? obs::usec_now() : 0;
     {
       const obs::ObsSpan span("cell", "sweep", "index", indices[i]);
-      rows[i] = render_row(plan, indices[i], scenarios[j], options, &sized[j]);
+      rows[i] = render_row(plan, indices[i], scenarios[j], options,
+                           &sized[job_of[j]], &memo);
     }
     usecs[i] = cell_usec(start);
-    if (cache != nullptr) cache->insert(key_of(indices[i]), rows[i]);
+    if (cache != nullptr) cache->insert(keys[i], rows[i]);
   }
 
   for (std::size_t i = 0; i < indices.size(); ++i) {

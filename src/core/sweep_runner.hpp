@@ -9,6 +9,14 @@
 /// numbers are rendered with util::format_double. Two processes
 /// evaluating the same cell therefore emit byte-identical rows — the
 /// property corridor::merge_shards verifies.
+///
+/// run_sweep_shard shares work between the cells it owns without that
+/// showing in the output bytes: the off-grid sizing runs as one batch,
+/// and each heavy stage (the ISD search, the multi-segment worst case,
+/// the sizing job) runs once per distinct stage_spec text, with every
+/// cell sharing that text reusing the result. evaluate_sweep_cell
+/// computes every stage itself and is the per-cell oracle both are
+/// checked against.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +28,7 @@
 #include "cache/result_cache.hpp"
 #include "core/scenario.hpp"
 #include "corridor/sweep.hpp"
+#include "solar/sizing.hpp"
 
 namespace railcorr::core {
 
@@ -46,12 +55,34 @@ struct SweepRunOptions {
   /// batched sizing path a cell reports only its per-cell render time
   /// — the shard-wide batched weather synthesis is shared and is not
   /// attributed to individual cells (it appears as the `sizing_batch`
-  /// span in a trace instead). The figure is a scheduling signal for
-  /// adaptive shard sizing, not an exact cost accounting.
+  /// span in a trace instead). Likewise a cell whose stages were
+  /// already computed for an earlier cell of the shard (a stage memo
+  /// hit) reports only its own residual time; the stage's cost lands
+  /// on the first cell that needed it. The figure is a scheduling
+  /// signal for adaptive shard sizing, not an exact cost accounting.
   std::function<void(std::size_t index, std::size_t done, std::size_t total,
                      std::uint64_t usec)>
       progress;
 };
+
+/// The deepest deployment a scenario's criterion still supports: the
+/// result of its Stage::kIsdSearch. repeater_count 0 = none.
+struct DeepestDeployment {
+  int repeater_count = 0;
+  double isd_m = 0.0;
+  double min_snr_db = 0.0;
+};
+
+/// Stage::kIsdSearch of a cell.
+DeepestDeployment deepest_deployment(const Scenario& scenario);
+
+/// Stage::kMultiSegment of a cell: the worst segment's min SNR [dB]
+/// when `deployment` repeats over scenario.corridor_segments segments.
+double corridor_min_snr_db(const Scenario& scenario,
+                           const DeepestDeployment& deployment);
+
+/// Stage::kSizing of a cell: its off-grid sizing study as one job.
+solar::SizingJob sizing_job(const Scenario& scenario);
 
 /// The metric column names, in row order (after index + axis columns).
 std::vector<std::string> sweep_metric_columns(const SweepRunOptions& options);
@@ -66,11 +97,14 @@ std::string evaluate_sweep_cell(const corridor::SweepPlan& plan,
                                 const SweepRunOptions& options = {});
 
 /// Evaluate a whole shard into a shard document (banner + header +
-/// ascending-index rows, one per owned cell). With include_sizing the
-/// off-grid simulations of ALL owned cells run as one batched
-/// solar::size_jobs call (each distinct weather tuple synthesized once
-/// for the shard); the batching is bit-identical to the per-cell path,
-/// so the emitted rows byte-match evaluate_sweep_cell's.
+/// ascending-index rows, one per owned cell). Each heavy stage runs once
+/// per distinct stage_spec text among the cells the call evaluates (a
+/// memo scoped to this call, so accuracy mode and SIMD level are fixed
+/// over its lifetime). With include_sizing the distinct sizing jobs of
+/// ALL owned cells run as one batched solar::size_jobs call (each
+/// distinct weather tuple synthesized once for the shard). Both are
+/// bit-identical to the per-cell path, so the emitted rows byte-match
+/// evaluate_sweep_cell's.
 std::string run_sweep_shard(const corridor::SweepPlan& plan,
                             corridor::ShardSpec shard,
                             const SweepRunOptions& options = {});

@@ -126,12 +126,36 @@ std::string format_bool(bool value) {
   return value ? "true" : "false";
 }
 
+namespace {
+constexpr std::uint64_t kFnv1a64Prime = 0x100000001B3ULL;
+}  // namespace
+
 std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed) {
   for (const char c : data) {
     seed ^= static_cast<unsigned char>(c);
-    seed *= 0x100000001B3ULL;
+    seed *= kFnv1a64Prime;
   }
   return seed;
+}
+
+void fnv1a64_each(std::string_view data, std::span<std::uint64_t> seeds) {
+  std::size_t k = 0;
+  for (; k + 4 <= seeds.size(); k += 4) {
+    std::uint64_t a = seeds[k], b = seeds[k + 1], c = seeds[k + 2],
+                  d = seeds[k + 3];
+    for (const char ch : data) {
+      const auto byte = static_cast<unsigned char>(ch);
+      a = (a ^ byte) * kFnv1a64Prime;
+      b = (b ^ byte) * kFnv1a64Prime;
+      c = (c ^ byte) * kFnv1a64Prime;
+      d = (d ^ byte) * kFnv1a64Prime;
+    }
+    seeds[k] = a;
+    seeds[k + 1] = b;
+    seeds[k + 2] = c;
+    seeds[k + 3] = d;
+  }
+  for (; k < seeds.size(); ++k) seeds[k] = fnv1a64(data, seeds[k]);
 }
 
 std::string hex16(std::uint64_t value) {
@@ -146,8 +170,14 @@ std::optional<std::uint64_t> parse_hex16(std::string_view text) {
   if (text.size() != 16) return std::nullopt;
   std::uint64_t value = 0;
   for (const char c : text) {
-    const std::size_t nibble = kHexDigits.find(c);
-    if (nibble == std::string_view::npos) return std::nullopt;
+    std::uint64_t nibble;
+    if (c >= '0' && c <= '9') {
+      nibble = static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      nibble = static_cast<std::uint64_t>(c - 'a' + 10);
+    } else {
+      return std::nullopt;
+    }
     value = value << 4 | nibble;
   }
   return value;

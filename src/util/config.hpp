@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -87,6 +88,11 @@ inline constexpr std::uint64_t kFnv1a64Basis = 0xCBF29CE484222325ULL;
 /// fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
 std::uint64_t fnv1a64(std::string_view data,
                       std::uint64_t seed = kFnv1a64Basis);
+
+/// `seed = fnv1a64(data, seed)` for every element of `seeds`. One FNV
+/// chain waits on its multiply for every byte; this walks four chains
+/// through `data` together so their multiplies overlap.
+void fnv1a64_each(std::string_view data, std::span<std::uint64_t> seeds);
 
 /// Fixed-width lowercase hex: always 16 digits.
 std::string hex16(std::uint64_t value);

@@ -65,6 +65,26 @@ TEST(CellKey, FieldFramingIsUnambiguous) {
   EXPECT_NE(cell_key("b", 1, "23,h"), cell_key("b", 12, "3,h"));
 }
 
+TEST(CellKey, ShardKeysEqualPerCellKeys) {
+  // Every lane-remainder length of the four-chain batch, strided and
+  // multi-digit indices, both schema versions.
+  const std::string banner =
+      "# railcorr-sweep-v1 fingerprint=0123456789abcdef grid=640";
+  const std::string header = "index,radio.lp_eirp_dbm,max_n";
+  for (const std::uint32_t schema :
+       {kResultSchemaVersion, kResultSchemaVersion + 1}) {
+    for (std::size_t count = 0; count <= 9; ++count) {
+      std::vector<std::size_t> indices;
+      for (std::size_t i = 0; i < count; ++i) indices.push_back(3 + 97 * i);
+      const auto keys = cell_keys(banner, indices, header, schema);
+      ASSERT_EQ(keys.size(), count);
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(keys[i], cell_key(banner, indices[i], header, schema));
+      }
+    }
+  }
+}
+
 TEST(Segment, RenderParseRoundTripsArbitraryRowBytes) {
   std::vector<SegmentEntry> entries = {
       {0x0123456789abcdefULL, "0,37,6,2,1200.5"},

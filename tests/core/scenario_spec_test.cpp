@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/evaluator.hpp"
 #include "core/scenario_registry.hpp"
+#include "core/sweep_runner.hpp"
 
 namespace railcorr::core {
 namespace {
@@ -99,6 +104,220 @@ TEST(ScenarioSpec, FieldCatalogIsConsistent) {
               0)
         << "at field " << field.key;
     line_start = spec.find('\n', line_start) + 1;
+  }
+}
+
+// ---- stage tags ----------------------------------------------------------
+
+std::vector<std::string> keys_read_by(Stage stage) {
+  std::vector<std::string> keys;
+  for (const auto& field : scenario_fields()) {
+    if (field.read_by(stage)) keys.emplace_back(field.key);
+  }
+  return keys;
+}
+
+TEST(ScenarioSpec, StageKeySetsArePinned) {
+  // A new registry key must take a tagging decision here: missing a
+  // stage's input would let the sweep runner's memo hand a cell another
+  // input's result.
+  const std::vector<std::string> link_and_radio = {
+      "link.carrier.center_frequency_hz",
+      "link.carrier.bandwidth_hz",
+      "link.carrier.subcarriers",
+      "link.noise.thermal_per_subcarrier_dbm",
+      "link.noise.nf_mobile_terminal_db",
+      "link.noise.nf_repeater_db",
+      "link.noise_model",
+      "link.fronthaul.snr_at_ref_db",
+      "link.fronthaul.ref_distance_m",
+      "link.fronthaul.atmospheric_db_per_km",
+      "link.min_distance_m",
+      "radio.hp_eirp_dbm",
+      "radio.lp_eirp_dbm",
+      "radio.hp_calibration_db",
+      "radio.lp_calibration_db",
+  };
+  std::vector<std::string> isd = link_and_radio;
+  isd.insert(isd.end(),
+             {"isd_search.isd_step_m", "isd_search.max_isd_m",
+              "isd_search.snr_threshold_db", "isd_search.sample_step_m",
+              "max_repeaters", "corridor.repeater_spacing_m"});
+  EXPECT_EQ(keys_read_by(Stage::kIsdSearch), isd);
+
+  std::vector<std::string> multi = link_and_radio;
+  multi.insert(multi.end(), {"isd_search.sample_step_m", "corridor.segments",
+                             "corridor.repeater_spacing_m"});
+  EXPECT_EQ(keys_read_by(Stage::kMultiSegment), multi);
+
+  EXPECT_EQ(keys_read_by(Stage::kSizing),
+            (std::vector<std::string>{
+                "timetable.trains_per_hour",
+                "timetable.night_hours",
+                "timetable.night_start_hour",
+                "timetable.train.length_m",
+                "timetable.train.speed_mps",
+                "energy.lp_node.p_max_w",
+                "energy.lp_node.p0_w",
+                "energy.lp_node.delta_p",
+                "energy.lp_node.p_sleep_w",
+                "corridor.repeater_spacing_m",
+                "sizing.years",
+                "sizing.seed",
+                "sizing.weather.kt_sigma",
+                "sizing.weather.kt_autocorrelation",
+                "sizing.weather.kt_min",
+                "sizing.weather.kt_max",
+                "sizing.weather.winter_sigma_boost",
+                "sizing.plane.tilt_deg",
+                "sizing.plane.azimuth_deg",
+                "sizing.plane.albedo",
+                "sizing.locations",
+                "sizing.ladder",
+            }));
+}
+
+TEST(ScenarioSpec, StageSpecIsTheTaggedLinesOfToSpec) {
+  const Scenario s = scenario_from_spec("radio.lp_eirp_dbm = 37.5\n");
+  const std::string full = to_spec(s);
+  for (const Stage stage :
+       {Stage::kIsdSearch, Stage::kMultiSegment, Stage::kSizing}) {
+    std::string expected;
+    for (const auto& key : keys_read_by(stage)) {
+      const std::size_t at = full.find(key + " = ");
+      ASSERT_NE(at, std::string::npos) << key;
+      expected += full.substr(at, full.find('\n', at) + 1 - at);
+    }
+    EXPECT_EQ(stage_spec(s, stage), expected);
+  }
+}
+
+/// A valid value different from the tiny base's, for every key.
+const std::map<std::string, std::string>& other_values() {
+  static const std::map<std::string, std::string> values = {
+      {"link.carrier.center_frequency_hz", "2.6e9"},
+      {"link.carrier.bandwidth_hz", "50e6"},
+      {"link.carrier.subcarriers", "1650"},
+      {"link.noise.thermal_per_subcarrier_dbm", "-130"},
+      {"link.noise.nf_mobile_terminal_db", "7"},
+      {"link.noise.nf_repeater_db", "6"},
+      {"link.noise_model", "literal_eq2"},
+      {"link.fronthaul.snr_at_ref_db", "45"},
+      {"link.fronthaul.ref_distance_m", "500"},
+      {"link.fronthaul.atmospheric_db_per_km", "0.7"},
+      {"link.min_distance_m", "2"},
+      {"radio.hp_eirp_dbm", "60"},
+      {"radio.lp_eirp_dbm", "37"},
+      {"radio.hp_calibration_db", "30"},
+      {"radio.lp_calibration_db", "18"},
+      {"throughput.alpha", "0.75"},
+      {"throughput.se_max_bps_hz", "4.5"},
+      {"throughput.snr_min_db", "-5"},
+      {"isd_search.isd_step_m", "50"},
+      {"isd_search.max_isd_m", "3000"},
+      {"isd_search.snr_threshold_db", "28"},
+      {"isd_search.sample_step_m", "25"},
+      {"timetable.trains_per_hour", "12"},
+      {"timetable.night_hours", "4"},
+      {"timetable.night_start_hour", "1"},
+      {"timetable.train.length_m", "300"},
+      {"timetable.train.speed_mps", "44.5"},
+      {"energy.hp_rrh.p_max_w", "30"},
+      {"energy.hp_rrh.p0_w", "150"},
+      {"energy.hp_rrh.delta_p", "3"},
+      {"energy.hp_rrh.p_sleep_w", "100"},
+      {"energy.lp_node.p_max_w", "2"},
+      {"energy.lp_node.p0_w", "20"},
+      {"energy.lp_node.delta_p", "3.5"},
+      {"energy.lp_node.p_sleep_w", "3.3"},
+      {"energy.rrhs_per_mast", "3"},
+      {"energy.hp_sleep_when_idle", "false"},
+      {"max_repeaters", "3"},
+      {"corridor.segments", "3"},
+      {"corridor.repeater_spacing_m", "150"},
+      {"sizing.years", "2"},
+      {"sizing.seed", "42"},
+      {"sizing.weather.kt_sigma", "0.2"},
+      {"sizing.weather.kt_autocorrelation", "0.6"},
+      {"sizing.weather.kt_min", "0.1"},
+      {"sizing.weather.kt_max", "0.7"},
+      {"sizing.weather.winter_sigma_boost", "1.2"},
+      {"sizing.plane.tilt_deg", "60"},
+      {"sizing.plane.azimuth_deg", "10"},
+      {"sizing.plane.albedo", "0.3"},
+      {"sizing.locations", "oslo"},
+      {"sizing.ladder", "600:1440"},
+  };
+  return values;
+}
+
+/// Every stage's result on `s`, rendered exactly. The multi-segment
+/// stage runs at `deployment` (the base's searched deployment): the
+/// runner keys it on that result as well as on its tagged fields.
+std::string stage_result(const Scenario& s, Stage stage,
+                         const DeepestDeployment& deployment) {
+  switch (stage) {
+    case Stage::kIsdSearch: {
+      const auto d = deepest_deployment(s);
+      return util::format_int(d.repeater_count) + " " +
+             util::format_double(d.isd_m) + " " +
+             util::format_double(d.min_snr_db);
+    }
+    case Stage::kMultiSegment:
+      return util::format_double(corridor_min_snr_db(s, deployment));
+    case Stage::kSizing: {
+      const solar::SizingJob job = sizing_job(s);
+      const auto results = solar::size_jobs({&job, 1});
+      std::string out;
+      for (const auto& r : results.front()) {
+        for (const double v :
+             {r.chosen.pv_wp, r.chosen.battery_wh,
+              r.report.days_with_full_battery_pct,
+              r.report.unserved_energy.value(),
+              r.report.annual_pv_energy.value(), r.report.annual_load.value(),
+              r.report.curtailed_energy.value(), r.report.min_soc_fraction}) {
+          out += util::format_double(v) + " ";
+        }
+        out += util::format_int(r.report.downtime_hours) + " " +
+               util::format_bool(r.ladder_exhausted) + "\n";
+      }
+      return out;
+    }
+  }
+  return {};
+}
+
+TEST(ScenarioSpec, StageResultsIgnoreEveryUntaggedKey) {
+  // Over-tagging only costs memo misses; under-tagging is a wrong row.
+  // So every key a stage is NOT tagged with must leave its result
+  // unchanged, checked here on a base that evaluates in milliseconds.
+  const Scenario base = scenario_from_spec(
+      "max_repeaters = 2\n"
+      "isd_search.isd_step_m = 100\n"
+      "isd_search.sample_step_m = 50\n"
+      "corridor.segments = 2\n"
+      "sizing.years = 1\n"
+      "sizing.locations = madrid\n"
+      "sizing.ladder = 540:720,720:2160\n");
+  const std::string base_spec = to_spec(base);
+  const DeepestDeployment deployment = deepest_deployment(base);
+  ASSERT_GT(deployment.repeater_count, 0);
+
+  ASSERT_EQ(other_values().size(), scenario_fields().size());
+  for (const Stage stage :
+       {Stage::kIsdSearch, Stage::kMultiSegment, Stage::kSizing}) {
+    const std::string expected = stage_result(base, stage, deployment);
+    for (const auto& field : scenario_fields()) {
+      if (field.read_by(stage)) continue;
+      const std::string key(field.key);
+      SCOPED_TRACE(key);
+      const auto other = other_values().find(key);
+      ASSERT_NE(other, other_values().end());
+      Scenario variant = base;
+      apply_spec(variant, key + " = " + other->second + "\n");
+      ASSERT_NE(to_spec(variant), base_spec) << "the value must differ";
+      EXPECT_EQ(stage_result(variant, stage, deployment), expected);
+    }
   }
 }
 

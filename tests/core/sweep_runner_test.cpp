@@ -4,10 +4,13 @@
 #include "core/sweep_runner.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 
 #include "exec/parallel.hpp"
+#include "obs/metrics.hpp"
 
 namespace railcorr::core {
 namespace {
@@ -138,6 +141,95 @@ TEST(SweepRunner, BatchedSizingShardMatchesPerCellRowsByteExact) {
     expected += evaluate_sweep_cell(plan, i, options) + "\n";
   }
   EXPECT_EQ(document, expected);
+}
+
+/// A mixed-axis grid in which every stage memo hits: 2 radios (ISD
+/// searches), x 2 segment counts (multi-segment worst cases), while the
+/// segment and radio axes leave the 3 x 2 sizing jobs untouched.
+corridor::SweepPlan memo_plan() {
+  return corridor::SweepPlan::from_spec(
+      "base = paper\n"
+      "set max_repeaters = 2\n"
+      "set isd_search.isd_step_m = 100\n"
+      "set isd_search.sample_step_m = 50\n"
+      "set sizing.years = 1\n"
+      "axis radio.lp_eirp_dbm = 37, 40\n"
+      "axis timetable.trains_per_hour = 6, 10, 14\n"
+      "axis corridor.segments = 2, 3\n"
+      "axis sizing.weather.kt_sigma = 0.1, 0.15\n");
+}
+
+/// The shard document built from memo-free evaluate_sweep_cell rows.
+std::string oracle_shard(const corridor::SweepPlan& plan,
+                         corridor::ShardSpec shard,
+                         const SweepRunOptions& options) {
+  std::string document =
+      corridor::shard_banner(plan) + "\n" +
+      corridor::shard_header(plan, sweep_metric_columns(options)) + "\n";
+  for (const std::size_t index : shard.indices(plan.size())) {
+    document += evaluate_sweep_cell(plan, index, options) + "\n";
+  }
+  return document;
+}
+
+TEST(SweepRunner, StageMemoShardsMatchPerCellOracleByteExact) {
+  const auto plan = memo_plan();
+  ASSERT_EQ(plan.size(), 24u);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("railcorr_stage_memo_test_" + std::to_string(::getpid()));
+  for (const bool sizing : {false, true}) {
+    SCOPED_TRACE(sizing ? "with sizing" : "without sizing");
+    SweepRunOptions options;
+    options.include_sizing = sizing;
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      exec::set_default_thread_count(threads);
+      for (const std::size_t ways : {1u, 2u, 3u}) {
+        for (std::size_t k = 0; k < ways; ++k) {
+          const corridor::ShardSpec shard{k, ways};
+          EXPECT_EQ(run_sweep_shard(plan, shard, options),
+                    oracle_shard(plan, shard, options))
+              << "shard " << k << "/" << ways;
+        }
+      }
+
+      // Cold store, then a whole grid over a store holding one third
+      // of it (memo and cache hits interleave), then fully warm.
+      std::filesystem::remove_all(dir);
+      cache::ResultCache store;
+      ASSERT_TRUE(store.open({dir.string(), 0}));
+      SweepRunOptions cached = options;
+      cached.cache = &store;
+      const corridor::ShardSpec third{1, 3};
+      const corridor::ShardSpec whole{0, 1};
+      EXPECT_EQ(run_sweep_shard(plan, third, cached),
+                oracle_shard(plan, third, options));
+      const std::string expected = oracle_shard(plan, whole, options);
+      EXPECT_EQ(run_sweep_shard(plan, whole, cached), expected);
+      EXPECT_EQ(run_sweep_shard(plan, whole, cached), expected);
+    }
+  }
+  std::filesystem::remove_all(dir);
+  exec::set_default_thread_count(0);
+}
+
+TEST(SweepRunner, StageMemoRunsEachDistinctStageInputOnce) {
+  const auto plan = memo_plan();
+  auto& metrics = obs::MetricsRegistry::instance();
+  const obs::Counter& hits = metrics.counter("sweep.stage_memo_hits");
+  const obs::Counter& misses = metrics.counter("sweep.stage_memo_misses");
+  const auto counts = [&](const SweepRunOptions& options) {
+    const std::uint64_t hits0 = hits.value();
+    const std::uint64_t misses0 = misses.value();
+    (void)run_sweep_shard(plan, corridor::ShardSpec{0, 1}, options);
+    return std::pair{hits.value() - hits0, misses.value() - misses0};
+  };
+  // 24 cells: 2 distinct searches, 2 x 2 distinct corridors.
+  EXPECT_EQ(counts({}), std::pair(std::uint64_t{42}, std::uint64_t{6}));
+  // Plus 24 sizing lookups over 3 x 2 distinct jobs.
+  SweepRunOptions sizing;
+  sizing.include_sizing = true;
+  EXPECT_EQ(counts(sizing), std::pair(std::uint64_t{60}, std::uint64_t{12}));
 }
 
 }  // namespace

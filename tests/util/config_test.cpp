@@ -92,6 +92,22 @@ TEST(TextCodecs, Fnv1a64KnownVectorsAndSeededChaining) {
             fnv1a64("line one\nline two\n"));
 }
 
+TEST(TextCodecs, Fnv1a64EachMatchesOneChainPerSeed) {
+  // Lengths around the four-chain blocking, distinct seeds per chain.
+  for (std::size_t count = 0; count <= 9; ++count) {
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t k = 0; k < count; ++k) {
+      seeds.push_back(fnv1a64(std::to_string(k)));
+    }
+    std::vector<std::uint64_t> expected;
+    for (const std::uint64_t seed : seeds) {
+      expected.push_back(fnv1a64("tail\xff bytes\n", seed));
+    }
+    fnv1a64_each("tail\xff bytes\n", seeds);
+    EXPECT_EQ(seeds, expected) << count;
+  }
+}
+
 TEST(TextCodecs, Hex16RoundTripsAtTheExtremes) {
   EXPECT_EQ(hex16(0), "0000000000000000");
   EXPECT_EQ(hex16(UINT64_MAX), "ffffffffffffffff");
