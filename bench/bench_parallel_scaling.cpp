@@ -377,7 +377,7 @@ int main(int argc, char** argv) {
     }
 
     // (d) the kFastUlp accuracy mode on the same snr_batch path: the
-    // polynomial dB pass plus the reciprocal-Newton kernel vs the
+    // polynomial dB pass over the same bit-exact kernel vs the
     // bit-exact default (bench_vmath carries the per-function detail).
     vmath::force_accuracy_mode(vmath::AccuracyMode::kFastUlp);
     auto& snr_fast = harness.run(

@@ -8,11 +8,15 @@
 #      searches, corridor worst cases and sizing jobs through the stage
 #      memo) and as one-cell shards (nothing to share), merge both and
 #      check the bytes agree,
-#   4. corrupt one shard row and check merge exits nonzero,
-#   5. pin the CLI error matrix: exit codes AND messages of the
+#   4. run the first grid under --accuracy fast as one sweep and as 2
+#      shards, merge both and check the bytes agree and line 1 carries
+#      the fast-mode banner tag,
+#   5. corrupt one shard row and check merge exits nonzero,
+#   6. pin the CLI error matrix: exit codes AND messages of the
 #      sweep/orchestrate/cache usage-error paths (wrong-flag
-#      combinations, refused resumes) so orchestrating scripts can rely
-#      on them.
+#      combinations, refused resumes, unknown RAILCORR_SIMD /
+#      RAILCORR_ACCURACY values) so orchestrating scripts can rely on
+#      them.
 #
 # usage: cli_smoke.sh <railcorr-binary>
 set -eu
@@ -76,6 +80,31 @@ if ! cmp "$TMP/memo_cells.csv" "$TMP/memo_single.csv"; then
   exit 1
 fi
 
+# Fast accuracy mode keeps the cross-shard contract within the mode,
+# and every fast-mode document is tagged so it never mixes with exact
+# rows or with fast rows of an older build ("accuracy=fast-ulp").
+"$BIN" sweep --plan "$TMP/plan.sweep" --accuracy fast \
+    --out "$TMP/fast_full.csv"
+"$BIN" sweep --plan "$TMP/plan.sweep" --accuracy fast --shard 0/2 \
+    --out "$TMP/fast0.csv"
+"$BIN" sweep --plan "$TMP/plan.sweep" --accuracy fast --shard 1/2 \
+    --out "$TMP/fast1.csv"
+"$BIN" merge --out "$TMP/fast_single.csv" "$TMP/fast_full.csv"
+"$BIN" merge --out "$TMP/fast_sharded.csv" "$TMP/fast0.csv" "$TMP/fast1.csv"
+if ! cmp "$TMP/fast_sharded.csv" "$TMP/fast_single.csv"; then
+  echo "FAIL: fast-mode sharded merge differs from the single sweep" >&2
+  exit 1
+fi
+for doc in fast_full fast0 fast1 fast_single; do
+  case "$(head -n 1 "$TMP/$doc.csv")" in
+    *" accuracy=fast-ulp2") ;;
+    *)
+      echo "FAIL: $doc.csv line 1 lacks the accuracy=fast-ulp2 tag" >&2
+      exit 1
+      ;;
+  esac
+done
+
 # A corrupted row under a now-stale integrity trailer is caught by the
 # trailer check first: an I/O-integrity input error (exit 1), not a
 # determinism-contract violation.
@@ -114,7 +143,7 @@ if [ "$code" -ne 1 ]; then
   exit 1
 fi
 
-# --- 4: the CLI error matrix ------------------------------------------
+# --- 6: the CLI error matrix ------------------------------------------
 # Each case pins BOTH the exit code and a stable message fragment:
 # exit 1 = usage/configuration error, exit 2 = the grid you asked for
 # is not the grid on disk (refused resume).
@@ -217,6 +246,30 @@ expect_error 1 "empty host name" \
 expect_error 1 "duplicate host" \
     orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/d9" \
     --hosts h1,h1 --launcher 'ssh {host} {cmd}'
+
+# Unknown environment overrides: exit 1 before any output is written.
+# "fast-ulp" is the mode's printed name, "avx" a near miss; both used
+# to run silently with the default.
+(
+  RAILCORR_ACCURACY=fast-ulp
+  export RAILCORR_ACCURACY
+  expect_error 1 "RAILCORR_ACCURACY must be 'exact' or 'fast', got 'fast-ulp'" \
+      sweep --plan "$TMP/plan.sweep" --out "$TMP/env_accuracy.csv"
+)
+(
+  RAILCORR_SIMD=avx
+  export RAILCORR_SIMD
+  expect_error 1 "RAILCORR_SIMD must be 'scalar', 'avx2' or 'auto', got 'avx'" \
+      sweep --plan "$TMP/plan.sweep" --out "$TMP/env_simd.csv"
+  expect_error 1 "RAILCORR_SIMD must be 'scalar', 'avx2' or 'auto'" \
+      orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/env_run"
+)
+for leftover in env_accuracy.csv env_simd.csv env_run; do
+  if [ -e "$TMP/$leftover" ]; then
+    echo "FAIL: a rejected environment override still wrote $leftover" >&2
+    exit 1
+  fi
+done
 
 # cache verb misuse.
 expect_error 1 "expected a verb" cache

@@ -245,8 +245,12 @@ std::string shard_banner(const SweepPlan& plan) {
   // for equality and therefore rejects mixed-mode grids instead of
   // reporting spurious cross-shard determinism violations. The default
   // mode's banner is unchanged (byte-compatible with earlier releases).
+  // The "2" marks the fast-mode row bytes of bit-exact link kernels;
+  // older builds wrote "fast-ulp" rows from a different kernel, and the
+  // banner is hashed into cache keys and compared by merge and resume,
+  // so the new tag keeps those rows from mixing with these.
   if (vmath::active_accuracy_mode() == vmath::AccuracyMode::kFastUlp) {
-    banner += " accuracy=fast-ulp";
+    banner += " accuracy=fast-ulp2";
   }
   return banner;
 }

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
+#include "util/config.hpp"
 #include "util/contracts.hpp"
 #include "util/vmath_detail.hpp"
 
@@ -26,18 +28,19 @@ SimdLevel detected_level() {
 
 SimdLevel env_or_detected_level() {
   // Cached once: the environment cannot change mid-process in a way we
-  // want to observe, and the hot paths query this per batch.
+  // want to observe, and the hot paths query this per batch. A throw
+  // leaves the static unset, so every later call reports it again.
   static const SimdLevel resolved = [] {
     const char* env = std::getenv("RAILCORR_SIMD");
-    if (env != nullptr) {
-      if (std::strcmp(env, "scalar") == 0) return SimdLevel::kScalar;
-      if (std::strcmp(env, "avx2") == 0 &&
-          detected_level() == SimdLevel::kAvx2) {
-        return SimdLevel::kAvx2;
-      }
-      // "auto" and unknown values fall through to detection.
+    if (env == nullptr || std::strcmp(env, "auto") == 0) {
+      return detected_level();
     }
-    return detected_level();
+    if (std::strcmp(env, "scalar") == 0) return SimdLevel::kScalar;
+    // "avx2" on a CPU without it degrades to scalar, like a forced level.
+    if (std::strcmp(env, "avx2") == 0) return detected_level();
+    throw util::ConfigError(std::string("RAILCORR_SIMD must be 'scalar', "
+                                        "'avx2' or 'auto', got '") +
+                            env + "'");
   }();
   return resolved;
 }
@@ -45,11 +48,13 @@ SimdLevel env_or_detected_level() {
 AccuracyMode env_or_default_mode() {
   static const AccuracyMode resolved = [] {
     const char* env = std::getenv("RAILCORR_ACCURACY");
-    if (env != nullptr && std::strcmp(env, "fast") == 0) {
-      return AccuracyMode::kFastUlp;
+    if (env == nullptr || std::strcmp(env, "exact") == 0) {
+      return AccuracyMode::kBitExact;
     }
-    // "exact" and unknown values keep the bit-exact default.
-    return AccuracyMode::kBitExact;
+    if (std::strcmp(env, "fast") == 0) return AccuracyMode::kFastUlp;
+    throw util::ConfigError(
+        std::string("RAILCORR_ACCURACY must be 'exact' or 'fast', got '") +
+        env + "'");
   }();
   return resolved;
 }
@@ -173,11 +178,6 @@ void db_to_ratio_batch_exact(std::span<const double> x,
   }
 }
 
-void rcp_batch_exact(std::span<const double> x, std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = 1.0 / x[i];
-}
-
 // ---- kFastUlp scalar lane ----------------------------------------------
 // The same polynomial cores as the AVX2 lane, one element at a time
 // (std::fma is correctly rounded on every platform, so the documented
@@ -293,18 +293,6 @@ void ratio_to_db_batch(std::span<const double> x, std::span<double> out) {
 
 void db_to_ratio_batch(std::span<const double> x, std::span<double> out) {
   RAILCORR_VMATH_DISPATCH(db_to_ratio_batch, x, out);
-}
-
-void rcp_batch(std::span<const double> x, std::span<double> out) {
-  // The scalar fast reciprocal IS the exact one (plain division);
-  // only the AVX2 lane has a distinct Newton form.
-#if defined(RAILCORR_HAVE_AVX2)
-  if (active_accuracy_mode() == AccuracyMode::kFastUlp && use_fast_avx2()) {
-    rcp_batch_fast_avx2(x, out);
-    return;
-  }
-#endif
-  rcp_batch_exact(x, out);
 }
 
 #undef RAILCORR_VMATH_DISPATCH

@@ -15,17 +15,18 @@
 ///      every SIMD level, on every machine with the same libm — this is
 ///      the mode the sweep-merge determinism contract is stated in.
 ///    - `kFastUlp`: polynomial SIMD transcendentals (log10 / log2 /
-///      exp2 and the dB conversions composed from them) and a
-///      reciprocal-Newton division form, each with a documented,
-///      property-tested ULP bound against scalar libm (see the
-///      per-function bounds below and docs/ARCHITECTURE.md). Results
+///      exp2 and the dB conversions composed from them), each with a
+///      documented, property-tested ULP bound against scalar libm (see
+///      the per-function bounds below and docs/ARCHITECTURE.md). Results
 ///      are deterministic for a fixed (mode, SIMD level, libm) but NOT
 ///      bit-identical to `kBitExact`; fast-mode shard documents are
 ///      tagged so `railcorr merge` rejects mixed-mode grids.
 ///
 /// Mode selection mirrors the SIMD dispatch: a `force_accuracy_mode`
 /// override (tests/benches), else the `RAILCORR_ACCURACY` environment
-/// variable (`exact` / `fast`), else `kBitExact`.
+/// variable (`exact` / `fast`), else `kBitExact`. The SoA link kernels
+/// (rf/batch_kernel.hpp) have no fast variant: they run bit-exact in
+/// both modes.
 ///
 /// \par Documented kFastUlp error bounds (property-tested)
 ///  - `log10_batch`, `log2_batch`, `exp2_batch`: <= 4 ULP against the
@@ -41,9 +42,6 @@
 ///  - `exp10_batch` (10^x): <= 4 ULP against scalar `std::pow(10.0, x)`
 ///    for |x| <= 300; larger magnitudes fall back to libm element-wise
 ///    and are therefore exact.
-///  - `rcp_batch` / the in-kernel reciprocal-Newton form: <= 2 ULP
-///    against IEEE division (seeded by `vrcpps`, three Newton steps
-///    with FMA residuals).
 ///
 /// \par Thread safety
 /// All batch entry points are pure over their inputs and reentrant.
@@ -67,6 +65,9 @@ enum class SimdLevel {
 /// The level the dispatcher will use: a `force_simd_level` override if
 /// set, else the `RAILCORR_SIMD` environment variable (`scalar` /
 /// `avx2` / `auto`), else the widest level the CPU and build support.
+/// Throws util::ConfigError when `RAILCORR_SIMD` holds any other value;
+/// drivers call this once on their main thread before any parallel
+/// region so the error surfaces there.
 [[nodiscard]] SimdLevel active_simd_level();
 
 /// Pin the dispatcher to `level` (a level the build/CPU cannot run
@@ -93,6 +94,8 @@ enum class AccuracyMode {
 
 /// The mode the dispatcher will use: a `force_accuracy_mode` override
 /// if set, else `RAILCORR_ACCURACY` (`exact` / `fast`), else kBitExact.
+/// Throws util::ConfigError when `RAILCORR_ACCURACY` holds any other
+/// value (resolve it early, like active_simd_level).
 [[nodiscard]] AccuracyMode active_accuracy_mode();
 
 /// Pin the accuracy mode. For tests, benchmarks, and drivers that take
@@ -127,9 +130,6 @@ void exp10_batch(std::span<const double> x, std::span<double> out);
 void ratio_to_db_batch(std::span<const double> x, std::span<double> out);
 /// out[i] = 10^(x[i] / 10) — dB to linear power ratio.
 void db_to_ratio_batch(std::span<const double> x, std::span<double> out);
-/// out[i] = 1 / x[i]. kBitExact: IEEE division; kFastUlp on the AVX2
-/// lane: the reciprocal-Newton form (<= 2 ULP).
-void rcp_batch(std::span<const double> x, std::span<double> out);
 ///@}
 
 /// \name Fixed-path variants
@@ -148,7 +148,6 @@ void ratio_to_db_batch_exact(std::span<const double> x,
                              std::span<double> out);
 void db_to_ratio_batch_exact(std::span<const double> x,
                              std::span<double> out);
-void rcp_batch_exact(std::span<const double> x, std::span<double> out);
 
 void log10_batch_fast_scalar(std::span<const double> x,
                              std::span<double> out);
@@ -172,7 +171,6 @@ void ratio_to_db_batch_fast_avx2(std::span<const double> x,
                                  std::span<double> out);
 void db_to_ratio_batch_fast_avx2(std::span<const double> x,
                                  std::span<double> out);
-void rcp_batch_fast_avx2(std::span<const double> x, std::span<double> out);
 #endif
 ///@}
 

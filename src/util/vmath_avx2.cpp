@@ -127,25 +127,6 @@ void db_to_ratio_batch_fast_avx2(std::span<const double> x,
   if (i < n) db_to_ratio_batch_fast_scalar(x.subspan(i), out.subspan(i));
 }
 
-void rcp_batch_fast_avx2(std::span<const double> x, std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  // The Newton seed converts through single precision: |x| must stay
-  // inside the float normal range or the block takes plain division.
-  const __m256d abs_mask = _mm256_set1_pd(-0.0);
-  const std::size_t n = x.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(x.data() + i);
-    const __m256d mag = _mm256_andnot_pd(abs_mask, v);
-    if (range_ok4(mag, 0x1p-120, 0x1p120)) {
-      _mm256_storeu_pd(out.data() + i, rcp_newton(v));
-    } else {
-      rcp_batch_exact(x.subspan(i, 4), out.subspan(i, 4));
-    }
-  }
-  if (i < n) rcp_batch_exact(x.subspan(i), out.subspan(i));
-}
-
 }  // namespace railcorr::vmath
 
 #endif  // RAILCORR_HAVE_AVX2 && __AVX2__ && __FMA__

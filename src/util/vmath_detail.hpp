@@ -237,21 +237,6 @@ inline void sincos_two_pi(double u, double& sin_out, double& cos_out) {
 
 namespace railcorr::vmath::detail {
 
-/// Reciprocal-Newton division form: 1/d seeded by `vrcpps` (<= 1.5 *
-/// 2^-12 relative) and refined by three Newton steps with FMA residuals
-/// (e = 1 - d*x; x += x*e), landing within ~2 ULP of IEEE division.
-/// Precondition: |d| inside the single-precision normal range
-/// (~[1.2e-38, 3.4e38]) — the conversion to float must not flush.
-inline __m256d rcp_newton(__m256d d) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  __m256d x = _mm256_cvtps_pd(_mm_rcp_ps(_mm256_cvtpd_ps(d)));
-  for (int i = 0; i < 3; ++i) {
-    const __m256d e = _mm256_fnmadd_pd(d, x, one);
-    x = _mm256_fmadd_pd(x, e, x);
-  }
-  return x;
-}
-
 // The 4-wide forms of the scalar cores above, shared by vmath_avx2.cpp
 // and the batched-RNG AVX2 lane (util/rng_batch_avx2.cpp). Each mirrors
 // its scalar counterpart instruction for instruction.

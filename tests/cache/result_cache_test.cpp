@@ -52,7 +52,11 @@ TEST(CellKey, EveryTupleComponentChangesTheKey) {
   const std::string header = "index,radio.lp_eirp_dbm,max_n";
   const std::uint64_t base = cell_key(banner, 7, header);
   EXPECT_EQ(base, cell_key(banner, 7, header));
-  EXPECT_NE(base, cell_key(banner + " accuracy=fast-ulp", 7, header));
+  const std::uint64_t fast = cell_key(banner + " accuracy=fast-ulp2", 7,
+                                      header);
+  EXPECT_NE(base, fast);
+  // Rows cached under the retired fast-mode tag never answer a lookup.
+  EXPECT_NE(fast, cell_key(banner + " accuracy=fast-ulp", 7, header));
   EXPECT_NE(base, cell_key(banner, 8, header));
   EXPECT_NE(base, cell_key(banner, 7, header + ",sized_pv_wp_total"));
   EXPECT_NE(base, cell_key(banner, 7, header, kResultSchemaVersion + 1));

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "util/vmath.hpp"
+
 namespace railcorr::corridor {
 namespace {
 
@@ -185,6 +187,18 @@ TEST(BannerHelpers, RoundTripFingerprintAndGrid) {
   EXPECT_FALSE(banner_grid("# no tokens here").has_value());
   EXPECT_FALSE(banner_grid("# railcorr-sweep-v1 grid=18446744073709551617")
                    .has_value());
+}
+
+TEST(BannerHelpers, OnlyFastModeIsTagged) {
+  const auto plan = SweepPlan::from_spec("axis k = 1, 2, 3\n");
+  const std::string exact = shard_banner(plan);
+  EXPECT_EQ(exact.find(" accuracy="), std::string::npos);
+  vmath::force_accuracy_mode(vmath::AccuracyMode::kFastUlp);
+  const std::string fast = shard_banner(plan);
+  vmath::reset_accuracy_mode();
+  // "fast-ulp2", not the retired "fast-ulp": fast rows from builds with
+  // a different link kernel must never merge, resume or hit the cache.
+  EXPECT_EQ(fast, exact + " accuracy=fast-ulp2");
 }
 
 TEST(MergeShards, FingerprintMismatchIsRejected) {

@@ -2,21 +2,24 @@
 /// lanes must be bit-identical, and every batched entry point must agree
 /// with its scalar dB-domain reference within documented bounds
 /// (<= 1e-12 dB for the downlink, <= 1e-9 dB for the uplink, whose
-/// batch path reorders the amplify-and-forward combination).
+/// batch path reorders the amplify-and-forward combination). The
+/// accuracy mode never changes a kernel ratio: kFastUlp dispatches the
+/// same bit-exact kernels.
 #include "rf/batch_kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "corridor/deployment.hpp"
 #include "rf/link.hpp"
 #include "rf/uplink.hpp"
-#include "ulp_distance.hpp"
 
 namespace railcorr::rf {
 namespace {
@@ -236,10 +239,9 @@ TEST_F(BatchKernelTest, MaskedBatchAgreesWithScalarMaskedSnr) {
   }
 }
 
-// ---- kFastUlp kernel variants ------------------------------------------
+// ---- Accuracy modes ----------------------------------------------------
 
-using bench::ulp_distance;
-
+/// True when vmath's fast AVX2+FMA lane can run here.
 bool fast_kernels_available() {
 #if defined(RAILCORR_HAVE_AVX2)
   return avx2_available() && vmath::cpu_has_fma();
@@ -248,51 +250,74 @@ bool fast_kernels_available() {
 #endif
 }
 
-TEST_F(BatchKernelTest, FastKernelRatiosWithinDocumentedUlpBound) {
-  if (!fast_kernels_available()) GTEST_SKIP() << "no AVX2+FMA fast lane";
-#if defined(RAILCORR_HAVE_AVX2)
+/// Run `kernel(out)` under kBitExact and under kFastUlp and require the
+/// two outputs to match bit for bit (compared as integers, so a signed
+/// zero or a NaN payload would count as a difference too).
+template <typename Kernel>
+void expect_same_bits_in_both_modes(std::size_t n, Kernel&& kernel,
+                                    const char* what, SimdLevel level) {
+  std::vector<double> exact(n);
+  std::vector<double> fast(n);
+  vmath::force_accuracy_mode(vmath::AccuracyMode::kBitExact);
+  kernel(std::span<double>(exact));
+  vmath::force_accuracy_mode(vmath::AccuracyMode::kFastUlp);
+  kernel(std::span<double>(fast));
+  vmath::reset_accuracy_mode();
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(exact[i]),
+              std::bit_cast<std::uint64_t>(fast[i]))
+        << what << " at " << simd_level_name(level) << ", slot " << i;
+  }
+}
+
+TEST_F(BatchKernelTest, FastModeDispatchesTheBitExactKernels) {
+  // The link kernels have no fast variant: under kFastUlp every
+  // dispatched ratio must equal the kBitExact one bit for bit, at
+  // every SIMD level.
   const auto deployment =
       corridor::SegmentDeployment::with_repeaters(2400.0, 8);
   LinkModelConfig config;
   const CorridorLinkModel model(config,
                                 deployment.transmitters(config.carrier));
-  const auto positions = probe_positions(2400.0);
-  std::vector<double> exact(positions.size());
-  std::vector<double> fast(positions.size());
-
-  snr_ratio_batch_avx2(model.soa(), positions, exact);
-  snr_ratio_batch_avx2_fast(model.soa(), positions, fast);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    EXPECT_LE(ulp_distance(exact[i], fast[i]), 8)
-        << "downlink @ " << positions[i];
-  }
-
   const UplinkModel uplink(config, deployment.transmitters(config.carrier));
-  uplink_best_ratio_batch_avx2(uplink.soa(), positions, exact);
-  uplink_best_ratio_batch_avx2_fast(uplink.soa(), positions, fast);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    EXPECT_LE(ulp_distance(exact[i], fast[i]), 8)
-        << "uplink @ " << positions[i];
-  }
-
-  // Masked fast kernel, including a fully dark mask: zero ratios must
-  // come out exactly zero (the caller's -200 dB floor keys off them).
+  const auto positions = probe_positions(2400.0);
+  const std::size_t n = positions.size();
   const std::size_t n_tx = model.soa().size();
-  const std::vector<double> half_mask = [&] {
-    std::vector<double> mask(n_tx, 1.0);
-    for (std::size_t i = 0; i < n_tx; i += 2) mask[i] = 0.0;
-    return mask;
-  }();
-  snr_ratio_masked_batch_avx2(model.soa(), half_mask, positions, exact);
-  snr_ratio_masked_batch_avx2_fast(model.soa(), half_mask, positions, fast);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    EXPECT_LE(ulp_distance(exact[i], fast[i]), 8)
-        << "masked @ " << positions[i];
-  }
+  std::vector<double> half_mask(n_tx, 1.0);
+  for (std::size_t i = 0; i < n_tx; i += 2) half_mask[i] = 0.0;
   const std::vector<double> dark(n_tx, 0.0);
-  snr_ratio_masked_batch_avx2_fast(model.soa(), dark, positions, fast);
-  for (const double ratio : fast) EXPECT_EQ(ratio, 0.0);
-#endif
+
+  for (const auto level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    if (level == SimdLevel::kAvx2 && !avx2_available()) continue;
+    force_simd_level(level);
+    expect_same_bits_in_both_modes(
+        n,
+        [&](std::span<double> out) {
+          snr_ratio_batch(model.soa(), positions, out);
+        },
+        "downlink", level);
+    expect_same_bits_in_both_modes(
+        n,
+        [&](std::span<double> out) {
+          snr_ratio_masked_batch(model.soa(), half_mask, positions, out);
+        },
+        "half-dark mask", level);
+    expect_same_bits_in_both_modes(
+        n,
+        [&](std::span<double> out) {
+          snr_ratio_masked_batch(model.soa(), dark, positions, out);
+          // A fully dark corridor is ratio 0, never NaN.
+          for (const double ratio : out) EXPECT_EQ(ratio, 0.0);
+        },
+        "fully dark mask", level);
+    expect_same_bits_in_both_modes(
+        n,
+        [&](std::span<double> out) {
+          uplink_best_ratio_batch(uplink.soa(), positions, out);
+        },
+        "uplink", level);
+    reset_simd_level();
+  }
 }
 
 TEST_F(BatchKernelTest, AccuracyModeSwitchesTheDispatchedKernel) {
@@ -314,14 +339,14 @@ TEST_F(BatchKernelTest, AccuracyModeSwitchesTheDispatchedKernel) {
 
   bool any_difference = false;
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    // The dB error budget: <= 8 ULP on the ratio plus <= 4 ULP on the
-    // conversion is far below 1e-12 dB at corridor SNR magnitudes.
+    // The ratios are bit-exact in both modes; only the <= 4 ULP dB
+    // conversion differs, far below 1e-12 dB at corridor SNR magnitudes.
     EXPECT_NEAR(fast_db[i], exact_db[i], 1e-12)
         << "position " << positions[i];
     any_difference = any_difference || fast_db[i] != exact_db[i];
   }
   // If nothing differs in the last place the dispatch is not actually
-  // switching kernels.
+  // switching the dB conversion lane.
   EXPECT_TRUE(any_difference);
 }
 

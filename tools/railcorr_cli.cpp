@@ -38,7 +38,8 @@
 /// `--accuracy bitexact|fast` (run / sweep / orchestrate) pins the
 /// vector-math accuracy mode from the command line; it wins over the
 /// RAILCORR_ACCURACY environment variable. Orchestrate propagates the
-/// resolved mode to every worker explicitly.
+/// resolved mode to every worker explicitly. An unknown RAILCORR_SIMD or
+/// RAILCORR_ACCURACY value fails every command with exit 1.
 ///
 /// Exit codes: 0 success; 1 usage/configuration error; 2 determinism
 /// contract violation reported by merge or orchestrate, or a refused
@@ -1292,6 +1293,11 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
   try {
+    // Read RAILCORR_SIMD / RAILCORR_ACCURACY once, here: a bad value is
+    // a ConfigError on the main thread, before any worker thread starts
+    // or any output is written.
+    (void)railcorr::vmath::active_simd_level();
+    (void)railcorr::vmath::active_accuracy_mode();
     if (command == "list") return cmd_list();
     if (command == "show") return cmd_show(args);
     if (command == "run") return cmd_run(args);
