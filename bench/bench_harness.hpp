@@ -47,24 +47,34 @@ class BenchHarness {
   template <typename Fn>
   BenchResult& run(const std::string& name, std::size_t threads, Fn&& fn,
                    double min_seconds = 0.2) {
-    using clock = std::chrono::steady_clock;
-    std::size_t iterations = 0;
-    double elapsed_s = 0.0;
-    const auto start = clock::now();
-    do {
-      fn();
-      ++iterations;
-      elapsed_s = std::chrono::duration<double>(clock::now() - start).count();
-    } while (elapsed_s < min_seconds);
+    const Timing timing = time(fn, min_seconds);
+    return record(name, threads, timing.iterations, timing.ns_per_op());
+  }
 
-    BenchResult result;
-    result.name = name;
-    result.threads = threads;
-    result.iterations = iterations;
-    result.ns_per_op = elapsed_s * 1e9 / static_cast<double>(iterations);
-    result.ops_per_second = static_cast<double>(iterations) / elapsed_s;
-    results_.push_back(std::move(result));
-    return results_.back();
+  /// Time `fn_a` and `fn_b` (one thread each) in `rounds` alternating
+  /// rounds of min_seconds / rounds and record each one's fastest
+  /// round. The two sides of a ratio then sample the same stretch of
+  /// host load, and a noisy neighbour during one round cannot sink
+  /// either side. Returns `name_b`'s result (recorded after `name_a`'s).
+  template <typename FnA, typename FnB>
+  BenchResult& run_interleaved(const std::string& name_a, FnA&& fn_a,
+                               const std::string& name_b, FnB&& fn_b,
+                               std::size_t rounds, double min_seconds) {
+    Timing best_a;
+    Timing best_b;
+    std::size_t iterations_a = 0;
+    std::size_t iterations_b = 0;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      const double seconds = min_seconds / static_cast<double>(rounds);
+      const Timing a = time(fn_a, seconds);
+      const Timing b = time(fn_b, seconds);
+      iterations_a += a.iterations;
+      iterations_b += b.iterations;
+      if (round == 0 || a.ns_per_op() < best_a.ns_per_op()) best_a = a;
+      if (round == 0 || b.ns_per_op() < best_b.ns_per_op()) best_b = b;
+    }
+    record(name_a, 1, iterations_a, best_a.ns_per_op());
+    return record(name_b, 1, iterations_b, best_b.ns_per_op());
   }
 
   [[nodiscard]] const std::vector<BenchResult>& results() const {
@@ -122,6 +132,41 @@ class BenchHarness {
  private:
   std::string suite_;
   std::vector<std::pair<std::string, std::string>> context_;
+  /// Iterations and wall time of one timing window.
+  struct Timing {
+    std::size_t iterations = 0;
+    double elapsed_s = 0.0;
+    [[nodiscard]] double ns_per_op() const {
+      return elapsed_s * 1e9 / static_cast<double>(iterations);
+    }
+  };
+
+  template <typename Fn>
+  static Timing time(Fn& fn, double min_seconds) {
+    using clock = std::chrono::steady_clock;
+    Timing timing;
+    const auto start = clock::now();
+    do {
+      fn();
+      ++timing.iterations;
+      timing.elapsed_s =
+          std::chrono::duration<double>(clock::now() - start).count();
+    } while (timing.elapsed_s < min_seconds);
+    return timing;
+  }
+
+  BenchResult& record(const std::string& name, std::size_t threads,
+                      std::size_t iterations, double ns_per_op) {
+    BenchResult result;
+    result.name = name;
+    result.threads = threads;
+    result.iterations = iterations;
+    result.ns_per_op = ns_per_op;
+    result.ops_per_second = 1e9 / ns_per_op;
+    results_.push_back(std::move(result));
+    return results_.back();
+  }
+
   std::vector<BenchResult> results_;
 };
 

@@ -1,9 +1,12 @@
 #include "core/sweep_runner.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/evaluator.hpp"
+#include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "core/scenario_registry.hpp"
@@ -43,9 +46,16 @@ struct CellMetrics {
 /// so the accuracy mode and SIMD level are constant over its lifetime.
 class StageMemo {
  public:
-  DeepestDeployment deepest(const Scenario& scenario) {
-    return lookup(deepest_, stage_spec(scenario, Stage::kIsdSearch),
-                  [&] { return deepest_deployment(scenario); });
+  /// Index of the scenario's ISD search in `searches`, which holds the
+  /// grid index of the first cell needing each distinct search (the
+  /// search's scenario is rebuilt from it), appended on first sight.
+  std::size_t isd_search_index(const Scenario& scenario, std::size_t cell,
+                               std::vector<std::size_t>& searches) {
+    return lookup(isd_searches_, stage_spec(scenario, Stage::kIsdSearch),
+                  [&] {
+                    searches.push_back(cell);
+                    return searches.size() - 1;
+                  });
   }
 
   double corridor_min_snr(const Scenario& scenario,
@@ -86,21 +96,20 @@ class StageMemo {
       obs::MetricsRegistry::instance().counter("sweep.stage_memo_hits");
   obs::Counter& misses_ =
       obs::MetricsRegistry::instance().counter("sweep.stage_memo_misses");
-  std::unordered_map<std::string, DeepestDeployment> deepest_;
+  std::unordered_map<std::string, std::size_t> isd_searches_;
   std::unordered_map<std::string, double> corridor_min_snr_;
   std::unordered_map<std::string, std::size_t> sizing_;
 };
 
-/// The row's metrics. Without a memo every stage is computed here (the
-/// per-cell oracle); with one, the heavy stages come from it.
+/// The row's metrics from the cell's ISD-search result. Without a memo
+/// every other stage is computed here (the per-cell oracle); with one,
+/// the heavy stages come from it.
 CellMetrics evaluate_metrics(const Scenario& scenario,
+                             const DeepestDeployment& deepest,
                              const SweepRunOptions& options,
                              const std::vector<solar::SizingResult>* sized,
                              StageMemo* memo) {
   CellMetrics m;
-  const DeepestDeployment deepest = memo != nullptr
-                                        ? memo->deepest(scenario)
-                                        : deepest_deployment(scenario);
   m.max_n = deepest.repeater_count;
   m.max_isd_m = deepest.isd_m;
   m.min_snr_at_max_db = deepest.min_snr_db;
@@ -160,14 +169,16 @@ CellMetrics evaluate_metrics(const Scenario& scenario,
   return m;
 }
 
-/// Render one cell row from an already-built scenario (and, for sizing
-/// runs, pre-computed sizing results).
+/// Render one cell row from an already-built scenario and its ISD-search
+/// result (and, for sizing runs, pre-computed sizing results).
 std::string render_row(const corridor::SweepPlan& plan, std::size_t index,
                        const Scenario& scenario,
+                       const DeepestDeployment& deepest,
                        const SweepRunOptions& options,
                        const std::vector<solar::SizingResult>* sized,
                        StageMemo* memo) {
-  const CellMetrics m = evaluate_metrics(scenario, options, sized, memo);
+  const CellMetrics m =
+      evaluate_metrics(scenario, deepest, options, sized, memo);
 
   std::string row = util::format_u64(index);
   const auto field = [&row](const std::string& value) {
@@ -260,7 +271,8 @@ std::string evaluate_sweep_cell(const corridor::SweepPlan& plan,
                                 std::size_t index,
                                 const SweepRunOptions& options) {
   const Scenario scenario = scenario_at(plan, index);
-  return render_row(plan, index, scenario, options, nullptr, nullptr);
+  return render_row(plan, index, scenario, deepest_deployment(scenario),
+                    options, nullptr, nullptr);
 }
 
 std::string run_sweep_shard(const corridor::SweepPlan& plan,
@@ -299,61 +311,11 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   const std::vector<std::uint64_t> keys =
       cache != nullptr ? cache::cell_keys(banner, indices, header)
                        : std::vector<std::uint64_t>{};
-  // Cells of this call that share a stage's inputs share its result.
-  StageMemo memo;
 
-  if (!options.include_sizing) {
-    const auto evaluate = [&](std::size_t index) {
-      return render_row(plan, index, scenario_at(plan, index), options,
-                        nullptr, &memo);
-    };
-    // Cells run sequentially: each cell's evaluator already saturates
-    // the exec engine's thread pool (grid parallelism is what the
-    // shards are for), and sequential emission keeps the document
-    // trivially ordered.
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const std::size_t index = indices[i];
-      const std::uint64_t start = timed ? obs::usec_now() : 0;
-      std::uint64_t usec = 0;
-      {
-        const obs::ObsSpan span("cell", "sweep", "index", index);
-        if (cache == nullptr) {
-          document += evaluate(index);
-        } else if (const auto hit = cache->lookup(keys[i])) {
-          document += *hit;
-          cached_counter.add();
-        } else {
-          const std::string row = evaluate(index);
-          cache->insert(keys[i], row);
-          document += row;
-        }
-        document += '\n';
-        usec = cell_usec(start);
-      }
-      cells_counter.add();
-      if (metrics.enabled()) cell_hist.record(usec);
-      if (options.progress) {
-        options.progress(index, i + 1, indices.size(), usec);
-      }
-    }
-    if (cache != nullptr) cache->flush();
-    return document;
-  }
-
-  // Sizing runs batch the off-grid simulations across the whole shard:
-  // every distinct sizing job (the memo collapses cells whose sizing
-  // inputs agree) goes into one size_jobs call, which synthesizes each
-  // distinct weather tuple once and steps all systems through it in SoA
-  // batches. Cells that vary only non-sizing axes therefore pay for
-  // weather once per location for the entire shard instead of once per
-  // cell. size_jobs results are bit-identical to the per-cell evaluator
-  // path, so the emitted rows are byte-identical to
-  // evaluate_sweep_cell's (the merge contract does not see the
-  // batching).
-  // Cache hits are resolved before the batch is formed, so only missed
-  // cells pay for weather synthesis — the incremental-sweep win
-  // compounds with the batching one.
-  std::vector<std::string> rows(indices.size());
+  // Cache hits are resolved first (each key looked up once; the views
+  // live as long as the cache), so only missed cells feed the batches
+  // below.
+  std::vector<std::optional<std::string_view>> hits(indices.size());
   std::vector<std::uint64_t> usecs(indices.size(), 0);
   std::vector<std::size_t> missed;
   missed.reserve(indices.size());
@@ -363,8 +325,8 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
       continue;
     }
     const std::uint64_t start = timed ? obs::usec_now() : 0;
-    if (const auto hit = cache->lookup(keys[i])) {
-      rows[i] = std::string(*hit);
+    hits[i] = cache->lookup(keys[i]);
+    if (hits[i].has_value()) {
       usecs[i] = cell_usec(start);
       cached_counter.add();
     } else {
@@ -372,43 +334,75 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
     }
   }
 
-  std::vector<Scenario> scenarios;
+  // Cells of this call that share a stage's inputs share its result.
+  // The heavy stages run as shard-wide batches before any row renders:
+  // every distinct ISD search (one per distinct stage_spec text) in one
+  // parallel region across the thread pool, each search's own per-N
+  // region running inline inside it, and with include_sizing every
+  // distinct sizing job in one size_jobs call, which synthesizes each
+  // distinct weather tuple once and steps all systems through it in SoA
+  // batches. Both are bit-identical to the per-cell evaluator path, so
+  // the emitted rows are byte-identical to evaluate_sweep_cell's (the
+  // merge contract does not see the batching). Only the first cell of
+  // each distinct search keeps a trace here (its grid index): scenarios
+  // are rebuilt where needed, never held per cell.
+  StageMemo memo;
+  std::vector<std::size_t> searches;
+  std::vector<std::size_t> search_of;  // per missed cell, into `searches`
   std::vector<solar::SizingJob> jobs;
-  std::vector<std::size_t> job_of;  // per missed cell, index into `jobs`
-  scenarios.reserve(missed.size());
-  job_of.reserve(missed.size());
+  std::vector<std::size_t> job_of;     // per missed cell, into `jobs`
+  search_of.reserve(missed.size());
+  if (options.include_sizing) job_of.reserve(missed.size());
   for (const std::size_t i : missed) {
-    scenarios.push_back(scenario_at(plan, indices[i]));
-    job_of.push_back(memo.sizing_job_index(scenarios.back(), jobs));
+    const Scenario scenario = scenario_at(plan, indices[i]);
+    search_of.push_back(memo.isd_search_index(scenario, indices[i], searches));
+    if (options.include_sizing) {
+      job_of.push_back(memo.sizing_job_index(scenario, jobs));
+    }
   }
-  const auto sized = [&] {
-    // The batch is shared across cells, so it gets its own span rather
-    // than being smeared into per-cell figures.
+  // Each batch is shared across cells, so it gets its own span rather
+  // than being smeared into per-cell figures.
+  const auto deepest = [&] {
+    const obs::ObsSpan batch_span("isd_batch", "sweep", "searches",
+                                  searches.size());
+    return exec::parallel_map(searches.size(), [&](std::size_t k) {
+      return deepest_deployment(scenario_at(plan, searches[k]));
+    });
+  }();
+  const auto sized = [&]() -> std::vector<std::vector<solar::SizingResult>> {
+    if (!options.include_sizing) return {};
     const obs::ObsSpan batch_span("sizing_batch", "sweep", "jobs",
                                   jobs.size());
     return solar::size_jobs(jobs);
   }();
-  for (std::size_t j = 0; j < missed.size(); ++j) {
-    const std::size_t i = missed[j];
-    const std::uint64_t start = timed ? obs::usec_now() : 0;
-    {
-      const obs::ObsSpan span("cell", "sweep", "index", indices[i]);
-      rows[i] = render_row(plan, indices[i], scenarios[j], options,
-                           &sized[job_of[j]], &memo);
-    }
-    usecs[i] = cell_usec(start);
-    if (cache != nullptr) cache->insert(keys[i], rows[i]);
-  }
 
+  // Rows render sequentially in index order, so the document is
+  // trivially ordered and progress follows the rows.
+  std::size_t next_missed = 0;
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    document += rows[i] + "\n";
+    const std::size_t index = indices[i];
+    if (hits[i].has_value()) {
+      document += *hits[i];
+    } else {
+      const std::size_t j = next_missed++;
+      const std::uint64_t start = timed ? obs::usec_now() : 0;
+      std::string row;
+      {
+        const obs::ObsSpan span("cell", "sweep", "index", index);
+        row = render_row(plan, index, scenario_at(plan, index),
+                         deepest[search_of[j]], options,
+                         options.include_sizing ? &sized[job_of[j]] : nullptr,
+                         &memo);
+      }
+      usecs[i] = cell_usec(start);
+      if (cache != nullptr) cache->insert(keys[i], row);
+      document += row;
+    }
+    document += '\n';
     cells_counter.add();
     if (metrics.enabled()) cell_hist.record(usecs[i]);
-    // Progress trails the batched simulation here: the heavy weather
-    // synthesis ran up front for the whole shard, so cells then render
-    // in a burst.
     if (options.progress) {
-      options.progress(indices[i], i + 1, indices.size(), usecs[i]);
+      options.progress(index, i + 1, indices.size(), usecs[i]);
     }
   }
   if (cache != nullptr) cache->flush();

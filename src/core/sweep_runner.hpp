@@ -11,12 +11,12 @@
 /// property corridor::merge_shards verifies.
 ///
 /// run_sweep_shard shares work between the cells it owns without that
-/// showing in the output bytes: the off-grid sizing runs as one batch,
-/// and each heavy stage (the ISD search, the multi-segment worst case,
-/// the sizing job) runs once per distinct stage_spec text, with every
-/// cell sharing that text reusing the result. evaluate_sweep_cell
-/// computes every stage itself and is the per-cell oracle both are
-/// checked against.
+/// showing in the output bytes: each heavy stage (the ISD search, the
+/// multi-segment worst case, the sizing job) runs once per distinct
+/// stage_spec text, with every cell sharing that text reusing the
+/// result, and the distinct ISD searches and sizing jobs each run as
+/// one batch before the rows render. evaluate_sweep_cell computes every
+/// stage itself and is the per-cell oracle both are checked against.
 #pragma once
 
 #include <cstddef>
@@ -51,15 +51,17 @@ struct SweepRunOptions {
   /// emission cannot perturb the evaluation: rows are already rendered
   /// when the callback fires. Empty = off.
   ///
-  /// Timing semantics: cache hits report (near-)zero usec, and on the
-  /// batched sizing path a cell reports only its per-cell render time
-  /// — the shard-wide batched weather synthesis is shared and is not
-  /// attributed to individual cells (it appears as the `sizing_batch`
-  /// span in a trace instead). Likewise a cell whose stages were
-  /// already computed for an earlier cell of the shard (a stage memo
-  /// hit) reports only its own residual time; the stage's cost lands
-  /// on the first cell that needed it. The figure is a scheduling
-  /// signal for adaptive shard sizing, not an exact cost accounting.
+  /// Timing semantics: cache hits report (near-)zero usec, and an
+  /// evaluated cell reports only its per-cell render time — the
+  /// shard-wide batches run before any row renders and are not
+  /// attributed to individual cells (they appear as the `isd_batch`
+  /// and `sizing_batch` spans in a trace instead), so progress events
+  /// follow the batches in a burst. Likewise a cell whose multi-segment
+  /// stage was already computed for an earlier cell of the shard (a
+  /// stage memo hit) reports only its own residual time; the stage's
+  /// cost lands on the first cell that needed it. The figure is a
+  /// scheduling signal for adaptive shard sizing, not an exact cost
+  /// accounting.
   std::function<void(std::size_t index, std::size_t done, std::size_t total,
                      std::uint64_t usec)>
       progress;
@@ -100,11 +102,12 @@ std::string evaluate_sweep_cell(const corridor::SweepPlan& plan,
 /// ascending-index rows, one per owned cell). Each heavy stage runs once
 /// per distinct stage_spec text among the cells the call evaluates (a
 /// memo scoped to this call, so accuracy mode and SIMD level are fixed
-/// over its lifetime). With include_sizing the distinct sizing jobs of
-/// ALL owned cells run as one batched solar::size_jobs call (each
-/// distinct weather tuple synthesized once for the shard). Both are
-/// bit-identical to the per-cell path, so the emitted rows byte-match
-/// evaluate_sweep_cell's.
+/// over its lifetime). The distinct ISD searches of all cache-missed
+/// cells run first, as one exec::parallel_map across the thread pool;
+/// with include_sizing their distinct sizing jobs then run as one
+/// batched solar::size_jobs call (each distinct weather tuple
+/// synthesized once for the shard). Both are bit-identical to the
+/// per-cell path, so the emitted rows byte-match evaluate_sweep_cell's.
 std::string run_sweep_shard(const corridor::SweepPlan& plan,
                             corridor::ShardSpec shard,
                             const SweepRunOptions& options = {});

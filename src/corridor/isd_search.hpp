@@ -48,6 +48,30 @@ struct MaxIsdResult {
   Db min_snr_at_max{0.0};
 };
 
+/// The SoA link constants of one repeater count's candidate
+/// deployments, hoisted out of the search's candidate loop. The
+/// constructor builds the link model of one candidate once; place(isd)
+/// then rewrites only what moves with the ISD (the far mast, the
+/// repeater positions and the repeaters' fronthaul-folded noise gains)
+/// through the same rf:: functions the model's constructor uses, so the
+/// placed SoA equals analyzer.link_model(<that candidate>).soa() bit for
+/// bit (tests/corridor/isd_search_test.cpp checks every candidate).
+class CandidateLinks {
+ public:
+  /// `geometry` is any valid candidate of the repeater count.
+  CandidateLinks(const CapacityAnalyzer& analyzer, SegmentGeometry geometry,
+                 const RadioParameters& radio);
+
+  /// Re-place the transmitters for a candidate at `isd_m`.
+  const rf::DownlinkTxSoA& place(double isd_m);
+
+ private:
+  rf::LinkModelConfig config_;
+  SegmentGeometry geometry_;
+  std::vector<rf::TxKernel> kernels_;
+  rf::DownlinkTxSoA soa_;
+};
+
 /// Runs the max-ISD sweep using a capacity analyzer.
 class IsdSearch {
  public:
@@ -62,7 +86,17 @@ class IsdSearch {
 
   [[nodiscard]] const IsdSearchConfig& config() const { return config_; }
 
+  /// Candidate ISDs of `repeater_count`, ascending: the isd_step_m grid
+  /// from the smallest geometrically valid ISD up to max_isd_m.
+  [[nodiscard]] std::vector<double> candidates(int repeater_count) const;
+
  private:
+  /// One repeater count's answer over its `candidates`; `samples` is
+  /// the accumulated 0, step, 2 step, ... sequence of the min-SNR scan.
+  [[nodiscard]] MaxIsdResult search(int repeater_count,
+                                    const std::vector<double>& candidates,
+                                    const std::vector<double>& samples) const;
+
   CapacityAnalyzer analyzer_;
   IsdSearchConfig config_;
   RadioParameters radio_;

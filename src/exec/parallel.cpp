@@ -17,6 +17,9 @@ namespace {
 
 std::atomic<std::size_t> g_default_threads{0};  // 0 = auto
 
+/// Set while the calling thread runs chunk 0 of its own region.
+thread_local bool t_in_region = false;
+
 std::size_t env_thread_count() {
   static const std::size_t cached = [] {
     const char* env = std::getenv("RAILCORR_THREADS");
@@ -82,6 +85,10 @@ void set_default_thread_count(std::size_t n) {
   g_default_threads.store(n, std::memory_order_relaxed);
 }
 
+bool in_parallel_region() {
+  return t_in_region || ThreadPool::on_worker_thread();
+}
+
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   ParallelOptions opts) {
   if (n == 0) return;
@@ -90,9 +97,9 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
   const std::size_t grain = std::max<std::size_t>(opts.grain, 1);
   threads = std::min({threads, n, std::max<std::size_t>(n / grain, 1)});
 
-  // Sequential fast path: one chunk, or we are already on a pool worker
-  // (nested region) and must not wait on the pool we occupy.
-  if (threads <= 1 || ThreadPool::on_worker_thread()) {
+  // Sequential fast path: one chunk, or we are already inside a region
+  // (nested) and must not wait on the pool we occupy.
+  if (threads <= 1 || in_parallel_region()) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -124,7 +131,11 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
     }
   }
 
-  batch->run_chunk(0);  // the caller participates
+  // The caller participates; regions nested in its chunk run inline
+  // like those on the workers.
+  t_in_region = true;
+  batch->run_chunk(0);  // noexcept: errors are stored in the batch
+  t_in_region = false;
   {
     std::unique_lock<std::mutex> lock(batch->mutex);
     batch->done.wait(lock, [&] { return batch->pending == 0; });

@@ -16,9 +16,12 @@
 ///    the caller can reduce the indexed results in index order. With
 ///    per-index outputs and an index-ordered reduction, results are
 ///    bit-identical for any thread count, including 1.
-///  * Nested parallel regions execute sequentially inline (a pool worker
-///    never re-enters the pool), which both avoids deadlock and keeps
-///    the same per-index evaluation everywhere.
+///  * Nested parallel regions execute sequentially inline (neither a pool
+///    worker nor the caller while it runs its own chunk re-enters the
+///    pool), which both avoids deadlock and keeps the same per-index
+///    evaluation everywhere. So a region over many independent jobs can
+///    call code that opens its own region per job: the inner regions
+///    cost nothing, and the outer one spreads the jobs over the pool.
 ///
 /// Thread-count resolution: an explicit `ParallelOptions::threads` wins;
 /// otherwise the process-wide default set by `set_default_thread_count`;
@@ -55,6 +58,14 @@ namespace railcorr::exec {
 /// count it resolved first — call it between regions (tests and
 /// benchmarks do this to pin a count).
 void set_default_thread_count(std::size_t n);
+
+/// True while the calling thread runs chunks of a parallel region (a
+/// pool worker, or the caller running its own chunk), i.e. when a
+/// parallel region opened here would execute sequentially inline.
+///
+/// \par Thread safety
+/// Reads thread-local state only.
+[[nodiscard]] bool in_parallel_region();
 
 /// Tuning knobs for one parallel region.
 struct ParallelOptions {

@@ -849,7 +849,8 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
           }
           std::size_t host = kNoHost;
           if (fleet_mode) {
-            const auto acquired = fleet.acquire(now_s());
+            const auto acquired =
+                fleet.acquire(now_s(), shard, attempt_no[shard]);
             audit_fleet();
             if (!acquired.has_value()) {
               // No host can take work right now (all quarantined or
@@ -899,7 +900,8 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
           std::size_t host = kNoHost;
           bool placeable = true;
           if (fleet_mode) {
-            const auto acquired = fleet.acquire(now_s());
+            const auto acquired =
+                fleet.acquire(now_s(), best_shard, attempt_no[best_shard]);
             audit_fleet();
             if (acquired.has_value()) {
               host = *acquired;

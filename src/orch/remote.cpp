@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/config.hpp"
+#include "util/rng.hpp"
 
 namespace railcorr::orch {
 
@@ -222,7 +223,9 @@ FleetHealth::FleetHealth(std::vector<std::string> hosts,
   }
 }
 
-std::optional<std::size_t> FleetHealth::acquire(double now_s) {
+std::optional<std::size_t> FleetHealth::acquire(double now_s,
+                                                std::size_t shard,
+                                                std::size_t attempt) {
   // A due re-probe first: one attempt at a time onto a quarantined
   // host whose backoff has expired (earliest due date wins; ties break
   // by list order for determinism).
@@ -243,11 +246,33 @@ std::optional<std::size_t> FleetHealth::acquire(double now_s) {
   }
 
   std::size_t best = hosts_.size();
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    const Host& host = hosts_[i];
-    if (host.quarantined || host.dead) continue;
-    if (best == hosts_.size() || host.inflight < hosts_[best].inflight) {
-      best = i;
+  if (options_.placement_seed.has_value()) {
+    // The k-th host accepting work, in list order, for a draw keyed on
+    // (seed, shard, attempt) alone; its own salt keeps it independent
+    // of the chaos schedule's fault draw over the same triple.
+    std::size_t eligible = 0;
+    for (const Host& host : hosts_) {
+      if (!host.quarantined && !host.dead) ++eligible;
+    }
+    if (eligible == 0) return std::nullopt;
+    SplitMix64 rng(*options_.placement_seed ^ 0x94d049bb133111ebULL ^
+                   (0x9e3779b97f4a7c15ULL * (shard + 1)) ^
+                   (0xbf58476d1ce4e5b9ULL * (attempt + 1)));
+    std::size_t k = static_cast<std::size_t>(rng.next() % eligible);
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+      if (hosts_[i].quarantined || hosts_[i].dead) continue;
+      if (k-- == 0) {
+        best = i;
+        break;
+      }
+    }
+  } else {
+    for (std::size_t i = 0; i < hosts_.size(); ++i) {
+      const Host& host = hosts_[i];
+      if (host.quarantined || host.dead) continue;
+      if (best == hosts_.size() || host.inflight < hosts_[best].inflight) {
+        best = i;
+      }
     }
   }
   if (best == hosts_.size()) return std::nullopt;

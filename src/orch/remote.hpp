@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -107,6 +108,12 @@ struct FleetHealthOptions {
   /// run (a persistent flapper is worse than a missing host: it eats
   /// attempts). A recovered host keeps its quarantine count.
   std::size_t dead_after = 3;
+  /// Seeded placement (the CLI sets it to `--chaos-seed`): a healthy
+  /// host is drawn as a pure function of (seed, shard, attempt) among
+  /// the hosts accepting work, instead of least-loaded-first, so a
+  /// seeded fault storm hits the same hosts on every run whatever the
+  /// timing. Unset = least-loaded placement.
+  std::optional<std::uint64_t> placement_seed;
 };
 
 /// One host-health transition, in occurrence order — the orchestrator
@@ -125,7 +132,8 @@ struct HostEvent {
 ///
 /// Placement policy: healthy hosts are used least-loaded-first (ties
 /// broken by list order, so placement is deterministic given the same
-/// event order); a quarantined host whose probe backoff has expired
+/// event order), or drawn from (seed, shard, attempt) under a
+/// placement seed; a quarantined host whose probe backoff has expired
 /// takes priority for exactly one in-flight probe attempt — transport
 /// failures never charge the shard's retry budget, so probing with a
 /// real attempt risks only latency, and an idle-but-recovered host is
@@ -134,11 +142,14 @@ class FleetHealth {
  public:
   FleetHealth(std::vector<std::string> hosts, FleetHealthOptions options);
 
-  /// Host to place the next attempt on at `now_s`: a due re-probe if
-  /// one exists, else the least-loaded healthy host. Increments the
-  /// chosen host's in-flight count. std::nullopt when no host can
-  /// accept work right now (all quarantined/dead, probes not yet due).
-  std::optional<std::size_t> acquire(double now_s);
+  /// Host to place attempt `attempt` of shard `shard` on at `now_s`: a
+  /// due re-probe if one exists, else a healthy host (least-loaded, or
+  /// the seeded draw; `shard` and `attempt` only feed the draw).
+  /// Increments the chosen host's in-flight count. std::nullopt when no
+  /// host can accept work right now (all quarantined/dead, probes not
+  /// yet due).
+  std::optional<std::size_t> acquire(double now_s, std::size_t shard = 0,
+                                     std::size_t attempt = 0);
 
   /// The attempt placed on `host` ended. `transport_failure` means the
   /// transport itself failed (refused launch, lost connection, corrupt

@@ -86,6 +86,45 @@ struct TxKernel {
   double fronthaul_factor_lin = 0.0;
 };
 
+/// \name Eq. (1)/(2) building blocks
+/// The one implementation of the per-transmitter constant arithmetic
+/// and of the min-SNR reduction. CorridorLinkModel is built from them,
+/// and callers that re-place transmitters without rebuilding a model
+/// (the ISD search's candidate loop) call the same functions, so both
+/// routes produce bit-identical constants and minima.
+///@{
+
+/// The linear-domain constants of `tx` under `config`.
+[[nodiscard]] TxKernel tx_kernel(const LinkModelConfig& config,
+                                 const TrackTransmitter& tx);
+
+/// 10^(-SNR_fh/10) of a repeater whose donor link is `donor_distance_m`
+/// long (the TxKernel::fronthaul_factor_lin of that repeater).
+[[nodiscard]] double fronthaul_factor_lin(const LinkModelConfig& config,
+                                          double donor_distance_m);
+
+/// The DownlinkTxSoA noise gain of `k`: the literal Eq. (2) term plus,
+/// under the fronthaul-aware model, the amplified fronthaul noise
+/// signal_gain_lin * fronthaul_factor_lin (zero for RRHs).
+[[nodiscard]] double folded_noise_gain(const LinkModelConfig& config,
+                                       const TxKernel& k);
+
+/// Minimum linear Eq. (2) ratio over `positions_m` (non-empty), through
+/// the dispatched batch kernel in fixed-size stack blocks.
+[[nodiscard]] double min_snr_ratio(const DownlinkTxSoA& soa,
+                                   std::span<const double> positions_m);
+
+/// Minimum linear Eq. (2) ratio over the range scan lo, lo+step, ...
+/// of blocked_range_ratio_blocks (accumulated steps, end clamp).
+[[nodiscard]] double min_snr_ratio(const DownlinkTxSoA& soa, double lo_m,
+                                   double hi_m, double step_m);
+
+/// 10·log10(ratio): the dB expression every min-SNR result goes through.
+/// log10 is monotone, so converting a linear-domain minimum once equals
+/// the minimum over the per-position dB values.
+[[nodiscard]] Db snr_ratio_db(double ratio);
+///@}
+
 /// Evaluates Eq. (2) along the track for a fixed set of transmitters.
 ///
 /// All powers are per-subcarrier (RSTP/RSRP domain), matching the paper.
@@ -186,7 +225,9 @@ class CorridorLinkModel {
   /// kernels (noise gains folded per the configured RepeaterNoiseModel).
   [[nodiscard]] const DownlinkTxSoA& soa() const { return soa_; }
   /// Terminal noise floor N_RSRP * NF_MT [mW].
-  [[nodiscard]] double terminal_noise_mw() const { return terminal_noise_mw_; }
+  [[nodiscard]] double terminal_noise_mw() const {
+    return soa_.terminal_noise_mw;
+  }
   /// Near-field clamp distance [m].
   [[nodiscard]] double min_distance_m() const { return config_.min_distance_m; }
 
@@ -196,7 +237,6 @@ class CorridorLinkModel {
   std::vector<CalibratedPathLoss> path_loss_;  // one per transmitter
   std::vector<TxKernel> kernels_;              // one per transmitter
   DownlinkTxSoA soa_;                          // same constants, SoA layout
-  double terminal_noise_mw_ = 0.0;
 };
 
 }  // namespace railcorr::rf

@@ -2,15 +2,145 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "core/scenario_registry.hpp"
+#include "rf/batch_kernel.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace railcorr::corridor {
 namespace {
 
 IsdSearch paper_search() {
   return IsdSearch(CapacityAnalyzer::paper_analyzer(), IsdSearchConfig{});
+}
+
+/// The exhaustive search the early-exit scan replaced, kept as its
+/// oracle: every valid (N, ISD) grid point is evaluated through a
+/// freshly built link model, and for each N the last passing point in
+/// ascending ISD order wins.
+std::vector<MaxIsdResult> exhaustive_sweep(const CapacityAnalyzer& analyzer,
+                                           const IsdSearchConfig& config,
+                                           const RadioParameters& radio,
+                                           int from, int to) {
+  std::vector<MaxIsdResult> results;
+  for (int n = from; n <= to; ++n) {
+    MaxIsdResult result;
+    result.repeater_count = n;
+    const double span =
+        n > 0 ? config.repeater_spacing_m * static_cast<double>(n - 1) : 0.0;
+    const double min_isd = std::max(
+        config.isd_step_m,
+        std::ceil((span + 1.0) / config.isd_step_m) * config.isd_step_m);
+    for (double isd = min_isd; isd <= config.max_isd_m + 1e-9;
+         isd += config.isd_step_m) {
+      SegmentDeployment deployment;
+      deployment.geometry.isd_m = isd;
+      deployment.geometry.repeater_count = n;
+      deployment.geometry.repeater_spacing_m = config.repeater_spacing_m;
+      deployment.radio = radio;
+      if (!deployment.geometry.valid()) continue;
+      const Db min_snr = analyzer.link_model(deployment)
+                             .min_snr(0.0, isd, config.sample_step_m);
+      if (min_snr >= config.snr_threshold) {
+        result.max_isd_m = isd;
+        result.min_snr_at_max = min_snr;
+      }
+    }
+    results.push_back(result);
+  }
+  return results;
+}
+
+/// One search input of the oracle property test.
+struct SearchSpec {
+  std::string name;
+  CapacityAnalyzer analyzer;
+  IsdSearchConfig config;
+  RadioParameters radio;
+  int max_n = 10;
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (bits(a[i]) != bits(b[i])) return false;
+  }
+  return true;
+}
+
+/// Every registry variant plus seeded random radio, spacing, threshold,
+/// grid and noise-model specs, including thresholds that no candidate
+/// and that the top candidate meet.
+std::vector<SearchSpec> oracle_specs() {
+  std::vector<SearchSpec> specs;
+  for (const auto& variant : core::scenario_registry()) {
+    const core::Scenario scenario = core::make_scenario(variant.name);
+    IsdSearchConfig config = scenario.isd_search;
+    config.repeater_spacing_m = scenario.repeater_spacing_m;
+    specs.push_back({variant.name, scenario.make_analyzer(), config,
+                     scenario.radio, scenario.max_repeaters});
+  }
+  Rng rng(0x15D5EA4CULL);
+  constexpr std::array<double, 5> kIsdSteps = {25.0, 37.5, 50.0, 61.3, 100.0};
+  constexpr std::array<double, 7> kSampleSteps = {5.0,  7.5,  10.0, 12.7,
+                                                  20.0, 33.3, 50.0};
+  for (int k = 0; k < 220; ++k) {
+    rf::LinkModelConfig link;
+    link.noise_model = rng.uniform() < 0.5
+                           ? rf::RepeaterNoiseModel::kFronthaulAware
+                           : rf::RepeaterNoiseModel::kLiteralEq2;
+    link.min_distance_m = rng.uniform() < 0.5 ? 1.0 : 5.0;
+    IsdSearchConfig config;
+    config.isd_step_m = kIsdSteps[rng.uniform_index(kIsdSteps.size())];
+    config.sample_step_m =
+        kSampleSteps[rng.uniform_index(kSampleSteps.size())];
+    config.max_isd_m = rng.uniform(600.0, 4200.0);
+    config.repeater_spacing_m = rng.uniform(60.0, 320.0);
+    config.snr_threshold = Db(rng.uniform(18.0, 36.0));
+    if (k % 20 == 7) config.snr_threshold = Db(120.0);  // nothing passes
+    if (k % 20 == 13) config.snr_threshold = Db(-60.0);  // the top passes
+    RadioParameters radio;
+    radio.hp_eirp = Dbm(rng.uniform(55.0, 70.0));
+    radio.lp_eirp = Dbm(rng.uniform(30.0, 48.0));
+    const int max_n = static_cast<int>(rng.uniform_index(11));
+    const CapacityAnalyzer analyzer(link, rf::ThroughputModel::paper_model(),
+                                    config.sample_step_m);
+    if (k % 4 == 1) {
+      // The threshold is exactly some candidate's min SNR (the `>=`
+      // edge), preferably one whose min SNR exceeds its smaller
+      // neighbour's: sampled min SNR is not monotone in ISD, and there
+      // a scan that stopped at the first failure would miss the answer.
+      const int n = static_cast<int>(rng.uniform_index(max_n + 1));
+      const auto isds = IsdSearch(analyzer, config, radio).candidates(n);
+      std::vector<Db> min_snrs;
+      for (const double isd : isds) {
+        SegmentDeployment deployment;
+        deployment.geometry.isd_m = isd;
+        deployment.geometry.repeater_count = n;
+        deployment.geometry.repeater_spacing_m = config.repeater_spacing_m;
+        deployment.radio = radio;
+        min_snrs.push_back(analyzer.link_model(deployment)
+                               .min_snr(0.0, isd, config.sample_step_m));
+      }
+      if (!min_snrs.empty()) {
+        config.snr_threshold = min_snrs[rng.uniform_index(min_snrs.size())];
+        for (std::size_t i = 1; i < min_snrs.size(); ++i) {
+          if (min_snrs[i] > min_snrs[i - 1]) config.snr_threshold = min_snrs[i];
+        }
+      }
+    }
+    specs.push_back(
+        {"random " + std::to_string(k), analyzer, config, radio, max_n});
+  }
+  return specs;
 }
 
 TEST(IsdSearch, PaperPublishedListShape) {
@@ -104,6 +234,85 @@ TEST(IsdSearch, Contracts) {
   bad.isd_step_m = 0.0;
   EXPECT_THROW(IsdSearch(CapacityAnalyzer::paper_analyzer(), bad),
                ContractViolation);
+}
+
+TEST(IsdSearch, EarlyExitSearchEqualsExhaustiveOracleBitForBit) {
+  const auto specs = oracle_specs();
+  ASSERT_GE(specs.size(), 200u);
+  std::size_t found = 0;
+  std::size_t none = 0;
+  std::size_t top = 0;
+  for (const auto level : {rf::SimdLevel::kScalar, rf::SimdLevel::kAvx2}) {
+    rf::force_simd_level(level);
+    if (rf::active_simd_level() != level) continue;  // no AVX2 lane here
+    for (const auto& spec : specs) {
+      const IsdSearch search(spec.analyzer, spec.config, spec.radio);
+      const auto fast = search.sweep(0, spec.max_n);
+      const auto oracle = exhaustive_sweep(spec.analyzer, spec.config,
+                                           spec.radio, 0, spec.max_n);
+      ASSERT_EQ(fast.size(), oracle.size()) << spec.name;
+      for (std::size_t i = 0; i < fast.size(); ++i) {
+        const std::string where =
+            spec.name + " N=" + std::to_string(i) + " at " +
+            std::string(rf::simd_level_name(level));
+        EXPECT_EQ(fast[i].repeater_count, oracle[i].repeater_count) << where;
+        ASSERT_EQ(fast[i].max_isd_m, oracle[i].max_isd_m) << where;
+        EXPECT_EQ(bits(fast[i].min_snr_at_max.value()),
+                  bits(oracle[i].min_snr_at_max.value()))
+            << where;
+        if (!fast[i].max_isd_m.has_value()) {
+          ++none;
+          continue;
+        }
+        ++found;
+        const auto isds = search.candidates(static_cast<int>(i));
+        if (*fast[i].max_isd_m == isds.back()) ++top;
+      }
+    }
+  }
+  rf::reset_simd_level();
+  // The specs reach every branch: answers below the top, no answer, and
+  // the top candidate itself.
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(none, 0u);
+  EXPECT_GT(top, 0u);
+}
+
+TEST(IsdSearch, HoistedCandidateLinksEqualFreshModels) {
+  // The search visits candidates from the top down through one
+  // CandidateLinks per repeater count; every placed SoA must equal the
+  // one a freshly built link model carries.
+  const auto specs = oracle_specs();
+  for (const auto& spec : specs) {
+    const IsdSearch search(spec.analyzer, spec.config, spec.radio);
+    for (int n = 0; n <= spec.max_n; ++n) {
+      const auto isds = search.candidates(n);
+      if (isds.empty()) continue;
+      SegmentDeployment deployment;
+      deployment.geometry.isd_m = isds.back();
+      deployment.geometry.repeater_count = n;
+      deployment.geometry.repeater_spacing_m = spec.config.repeater_spacing_m;
+      deployment.radio = spec.radio;
+      CandidateLinks links(spec.analyzer, deployment.geometry, spec.radio);
+      for (auto it = isds.rbegin(); it != isds.rend(); ++it) {
+        const rf::DownlinkTxSoA& placed = links.place(*it);
+        deployment.geometry.isd_m = *it;
+        const auto model = spec.analyzer.link_model(deployment);
+        const rf::DownlinkTxSoA& fresh = model.soa();
+        const std::string where = spec.name + " N=" + std::to_string(n) +
+                                  " ISD=" + std::to_string(*it);
+        ASSERT_TRUE(same_bits(placed.position_m, fresh.position_m)) << where;
+        ASSERT_TRUE(same_bits(placed.signal_gain_lin, fresh.signal_gain_lin))
+            << where;
+        ASSERT_TRUE(same_bits(placed.noise_gain_lin, fresh.noise_gain_lin))
+            << where;
+        ASSERT_EQ(bits(placed.terminal_noise_mw), bits(fresh.terminal_noise_mw))
+            << where;
+        ASSERT_EQ(bits(placed.min_distance_m), bits(fresh.min_distance_m))
+            << where;
+      }
+    }
+  }
 }
 
 }  // namespace

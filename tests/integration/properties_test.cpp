@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "core/scenario.hpp"
+#include "core/sweep_runner.hpp"
 #include "corridor/capacity.hpp"
 #include "corridor/cost.hpp"
 #include "corridor/energy.hpp"
 #include "corridor/isd_search.hpp"
 #include "rf/uplink.hpp"
 #include "traffic/duty.hpp"
+#include "util/rng.hpp"
 
 namespace railcorr {
 namespace {
@@ -186,6 +192,106 @@ TEST_P(OperatingPointTest, MastDutyConsistentWithOccupancy) {
 
 INSTANTIATE_TEST_SUITE_P(AllPublishedPoints, OperatingPointTest,
                          ::testing::Range(1, 11));
+
+// --- Model invariants over the radio_grid ranges --------------------------
+
+/// A seeded radio/geometry point from the ranges of the radio_grid
+/// benchmark plans: LP EIRP 34-46 dBm, HP EIRP 58-68 dBm, repeater
+/// spacing on the 120..300 m ladder with up to +-2 m of jitter.
+struct RadioPoint {
+  double lp_eirp_dbm;
+  double hp_eirp_dbm;
+  double spacing_m;
+
+  [[nodiscard]] std::string describe() const {
+    return "lp=" + std::to_string(lp_eirp_dbm) +
+           " hp=" + std::to_string(hp_eirp_dbm) +
+           " spacing=" + std::to_string(spacing_m);
+  }
+};
+
+std::vector<RadioPoint> radio_grid_points() {
+  Rng rng(0x4AD10C01ULL);
+  std::vector<RadioPoint> points;
+  for (int k = 0; k < 24; ++k) {
+    const double lp = rng.uniform(34.0, 46.0);
+    const double hp = rng.uniform(58.0, 68.0);
+    const auto rung = static_cast<double>(rng.uniform_index(10));
+    const auto jitter = static_cast<double>(rng.uniform_index(9)) - 4.0;
+    points.push_back({lp, hp, 120.0 + 20.0 * rung + 0.5 * jitter});
+  }
+  return points;
+}
+
+/// Max ISD per N = 1..10 of `point` under `threshold_db`.
+std::vector<corridor::MaxIsdResult> max_isds(const RadioPoint& point,
+                                             double threshold_db) {
+  corridor::IsdSearchConfig config;
+  config.repeater_spacing_m = point.spacing_m;
+  config.snr_threshold = Db(threshold_db);
+  corridor::RadioParameters radio;
+  radio.lp_eirp = Dbm(point.lp_eirp_dbm);
+  radio.hp_eirp = Dbm(point.hp_eirp_dbm);
+  return corridor::IsdSearch(corridor::CapacityAnalyzer::paper_analyzer(),
+                             config, radio)
+      .sweep(1, 10);
+}
+
+/// A missing max ISD (no candidate passes) ranks below every ISD.
+double rank(const std::optional<double>& isd) { return isd.value_or(-1.0); }
+
+TEST(RadioGridInvariants, MaxIsdIsNonIncreasingInSnrThreshold) {
+  for (const auto& point : radio_grid_points()) {
+    std::vector<corridor::MaxIsdResult> looser;
+    for (const double threshold : {24.0, 27.0, 29.0, 30.5, 33.0}) {
+      const auto tighter = max_isds(point, threshold);
+      for (std::size_t i = 0; i < looser.size(); ++i) {
+        EXPECT_LE(rank(tighter[i].max_isd_m), rank(looser[i].max_isd_m))
+            << point.describe() << " N=" << i + 1
+            << " threshold=" << threshold;
+      }
+      looser = tighter;
+    }
+  }
+}
+
+TEST(RadioGridInvariants, MaxIsdIsNonDecreasingInHpEirp) {
+  // More HP EIRP adds mast signal everywhere and no noise.
+  for (const auto& point : radio_grid_points()) {
+    const auto base = max_isds(point, 29.0);
+    RadioPoint stronger = point;
+    stronger.hp_eirp_dbm += 1.5;
+    const auto boosted = max_isds(stronger, 29.0);
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      EXPECT_GE(rank(boosted[i].max_isd_m), rank(base[i].max_isd_m))
+          << point.describe() << " N=" << i + 1;
+    }
+  }
+}
+
+TEST(RadioGridInvariants, SleepAndSolarSavingsLieInUnitInterval) {
+  for (const auto& point : radio_grid_points()) {
+    core::Scenario scenario = core::Scenario::paper();
+    scenario.radio.lp_eirp = Dbm(point.lp_eirp_dbm);
+    scenario.radio.hp_eirp = Dbm(point.hp_eirp_dbm);
+    scenario.repeater_spacing_m = point.spacing_m;
+    const auto deepest = core::deepest_deployment(scenario);
+    if (deepest.repeater_count == 0) continue;
+    corridor::SegmentGeometry geometry;
+    geometry.isd_m = deepest.isd_m;
+    geometry.repeater_count = deepest.repeater_count;
+    geometry.repeater_spacing_m = scenario.repeater_spacing_m;
+    const auto model = scenario.make_energy_model();
+    const auto baseline = model.conventional_baseline();
+    for (const auto mode : {corridor::RepeaterOperationMode::kSleepMode,
+                            corridor::RepeaterOperationMode::kSolarPowered}) {
+      const double savings =
+          model.evaluate(geometry, mode).savings_vs(baseline);
+      EXPECT_GE(savings, 0.0) << point.describe();
+      EXPECT_LE(savings, 1.0) << point.describe();
+    }
+  }
+}
 
 }  // namespace
 }  // namespace railcorr

@@ -136,6 +136,58 @@ TEST(FleetHealth, PlacesLeastLoadedFirstWithListOrderTies) {
   EXPECT_EQ(fleet.acquire(0.0), std::optional<std::size_t>(1));
 }
 
+TEST(FleetHealth, SeededPlacementIsAPureFunctionOfSeedShardAndAttempt) {
+  FleetHealthOptions options = fast_health();
+  options.placement_seed = 7;
+  // Two fleets under different loads and call orders agree on every
+  // (shard, attempt): the in-flight counts never enter the draw.
+  FleetHealth loaded({"a", "b", "c"}, options);
+  FleetHealth idle({"a", "b", "c"}, options);
+  for (int i = 0; i < 5; ++i) (void)loaded.acquire(0.0, 99, 99);
+  std::vector<std::size_t> used(3, 0);
+  for (std::size_t shard = 0; shard < 8; ++shard) {
+    for (std::size_t attempt = 0; attempt < 4; ++attempt) {
+      const auto host = idle.acquire(0.0, shard, attempt);
+      ASSERT_TRUE(host.has_value());
+      EXPECT_EQ(loaded.acquire(0.0, shard, attempt), host);
+      ++used[*host];
+    }
+  }
+  // The draw spreads over the whole fleet.
+  for (const std::size_t n : used) EXPECT_GT(n, 0u);
+  // Another seed places some attempt elsewhere.
+  FleetHealth again({"a", "b", "c"}, options);
+  options.placement_seed = 8;
+  FleetHealth reseeded({"a", "b", "c"}, options);
+  bool moved = false;
+  for (std::size_t shard = 0; shard < 8 && !moved; ++shard) {
+    moved = reseeded.acquire(0.0, shard, 0) != again.acquire(0.0, shard, 0);
+  }
+  EXPECT_TRUE(moved);
+}
+
+TEST(FleetHealth, SeededPlacementSkipsQuarantinedHosts) {
+  FleetHealthOptions options = fast_health();
+  options.placement_seed = 7;
+  FleetHealth fleet({"a", "b"}, options);
+  // Quarantine whichever host the first two draws pick until one goes.
+  std::size_t attempt = 0;
+  while (fleet.healthy() == 2) {
+    const auto host = fleet.acquire(0.0, 0, attempt++);
+    ASSERT_TRUE(host.has_value());
+    fleet.release(*host, /*transport_failure=*/true, 0.0);
+  }
+  const auto events = fleet.drain_events();
+  ASSERT_EQ(events.size(), 1u);
+  const std::size_t survivor = events[0].host == "a" ? 1 : 0;
+  // Before its probe is due, every draw lands on the survivor.
+  for (std::size_t shard = 0; shard < 16; ++shard) {
+    const auto host = fleet.acquire(0.5, shard, 0);
+    EXPECT_EQ(host, std::optional<std::size_t>(survivor));
+    fleet.release(*host, /*transport_failure=*/false, 0.5);
+  }
+}
+
 TEST(FleetHealth, QuarantinesAfterConsecutiveTransportFailures) {
   FleetHealth fleet({"a", "b"}, fast_health());
   for (int i = 0; i < 2; ++i) {

@@ -857,6 +857,9 @@ int cmd_orchestrate(const std::vector<std::string>& args, const char* argv0) {
   }
   if (no_speculate) options.speculate = false;
   if (fetch_timeout_s.has_value()) options.fetch_timeout_s = *fetch_timeout_s;
+  // A seeded storm also places its attempts by seed, so the faults land
+  // on the same hosts (and trip the same quarantines) on every run.
+  options.health.placement_seed = chaos_seed;
   if (cache_max_bytes != 0 && !cache_dir.has_value()) {
     throw ConfigError("orchestrate: --cache-max-mb requires --cache-dir");
   }
