@@ -15,6 +15,10 @@
 ///   S >= B / (1 + tolerance).
 /// Checked-in baselines should therefore record *conservative floors*
 /// (measured values rounded down), not the best observed numbers.
+///
+/// A baseline entry may also record `ns_per_op_ceiling`: a time budget
+/// checked on every run (T <= ceiling * (1 + tolerance)), for a figure
+/// whose only honest ratio has a denominator that keeps moving.
 #pragma once
 
 #include <cctype>
@@ -111,8 +115,9 @@ struct GateResult {
 };
 
 /// Compare `current` against `baseline`. Gated metrics: every baseline
-/// metric whose key contains "speedup" (floor check, see file header);
-/// with `check_absolute_times` also ns_per_op (ceiling check). A
+/// metric whose key contains "speedup" (floor check, see file header),
+/// `ns_per_op_ceiling`, and with `check_absolute_times` also ns_per_op
+/// (both ceiling checks on the current ns_per_op). A
 /// baseline entry missing from the current run is a violation — a
 /// silently dropped benchmark must not pass the gate.
 inline GateResult check_against_baseline(
@@ -156,7 +161,8 @@ inline GateResult check_against_baseline(
               << ")\n";
           ++gate.violations;
         }
-      } else if (check_absolute_times && key == "ns_per_op") {
+      } else if (key == "ns_per_op_ceiling" ||
+                 (check_absolute_times && key == "ns_per_op")) {
         ++gate.checked;
         const double ceiling = floor * (1.0 + tolerance);
         if (result->ns_per_op > ceiling) {

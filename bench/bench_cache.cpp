@@ -3,16 +3,17 @@
 /// evaluated), warm (every cell answered from a primed content-
 /// addressed store), and the store-open cost alone — verifies the warm
 /// run's bytes are identical to the cold run's (the contract that makes
-/// caching legal at all), and emits the warm-vs-cold speedup as a
-/// machine-readable metric.
+/// caching legal at all), and reports the warm-vs-cold speedup.
 ///
-/// The speedup is the metric CI gates against a recorded floor
-/// (bench/baselines/cache.json): a warm re-sweep of an unchanged grid
-/// must stay decisively faster than recomputing it, or the cache has
-/// regressed into decoration. Each warm iteration re-opens the store
-/// from disk, so the measured figure includes segment parsing and
-/// trailer verification — the real cost a `sweep --cache-dir` re-run
-/// pays, not an in-memory best case.
+/// CI gates the warm run's own time against a recorded ceiling
+/// (`ns_per_op_ceiling` in bench/baselines/cache.json), not the
+/// speedup: every faster model stage shrinks the cold side, so a
+/// speedup floor fails a warm path that did not change. Cold and warm
+/// are timed in alternating rounds and each keeps its fastest round, so
+/// a noisy neighbour during one round does not sink the figure. Each
+/// warm iteration re-opens the store from disk, so the measured figure
+/// includes segment parsing and trailer verification — the real cost a
+/// `sweep --cache-dir` re-run pays, not an in-memory best case.
 ///
 /// Usage: bench_cache [--json=PATH] [--min-seconds=S]
 ///          [--baseline=PATH] [--baseline-tolerance=F] [--check-abs-times]
@@ -107,17 +108,10 @@ int main(int argc, char** argv) {
   harness.add_context("grid_cells", std::to_string(plan.size()));
   bool deterministic = true;
 
-  // ---- Cold: every cell evaluated ------------------------------------
   // The cache-less path is the cold reference: a cold *cached* run pays
-  // this plus the store publish, so gating warm against the cache-less
-  // time understates the speedup — the recorded floor stays honest.
-  std::string cold_doc;
-  const auto& cold = harness.run(
-      "sweep_cold_64cells", 1,
-      [&] { cold_doc = core::run_sweep_shard(plan, whole_grid, {}); },
-      min_seconds);
-
-  // Prime the store once; the priming run must also byte-match.
+  // this plus the store publish. Prime the store once; the priming run
+  // must byte-match it.
+  const std::string cold_doc = core::run_sweep_shard(plan, whole_grid, {});
   {
     cache::ResultCache primer;
     if (!primer.open({dir.string(), 0})) {
@@ -135,13 +129,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Warm: every cell answered from the primed store ---------------
+  // ---- Cold (every cell evaluated) vs warm (every cell a hit) --------
   // Re-opening per iteration charges the warm path its true cost:
   // segment scan, trailer verification, index build, 64 lookups.
+  constexpr std::size_t kRounds = 9;
   std::string warm_doc;
   std::size_t warm_hits = 0;
-  auto& warm = harness.run(
-      "sweep_warm_64cells", 1,
+  auto& warm = harness.run_interleaved(
+      "sweep_cold_64cells",
+      [&] { (void)core::run_sweep_shard(plan, whole_grid, {}); },
+      "sweep_warm_64cells",
       [&] {
         cache::ResultCache store;
         store.open({dir.string(), 0});
@@ -150,9 +147,10 @@ int main(int argc, char** argv) {
         warm_doc = core::run_sweep_shard(plan, whole_grid, options);
         warm_hits = store.stats().hits;
       },
-      min_seconds);
-  warm.metrics.emplace_back("warm_speedup_vs_cold",
-                            cold.ns_per_op / warm.ns_per_op);
+      kRounds, 2.0 * min_seconds);
+  warm.metrics.emplace_back(
+      "warm_speedup_vs_cold",
+      harness.find("sweep_cold_64cells", 1)->ns_per_op / warm.ns_per_op);
   if (warm_doc != cold_doc) {
     std::cerr << "DETERMINISM VIOLATION: warm cached sweep differs from"
                  " the cache-less sweep\n";

@@ -247,6 +247,23 @@ expect_error 1 "duplicate host" \
     orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/d9" \
     --hosts h1,h1 --launcher 'ssh {host} {cmd}'
 
+# --threads follows the one list rule of --hosts and axis values: items
+# are trimmed of blanks, and an empty item is an error naming the flag.
+for threads in "2," ",2" "2,,2"; do
+  expect_error 1 "malformed value for '--threads'" \
+      orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/t_empty" \
+      --threads "$threads"
+done
+expect_error 1 "--threads list (2 entries) must match --hosts (3" \
+    orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/t_count" \
+    --hosts h1,h2,h3 --launcher 'ssh {host} {cmd}' --threads "2, 2"
+"$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/t_run" \
+    --workers 2 --threads "1, 1" >/dev/null 2>&1
+if ! cmp "$TMP/t_run/merged.csv" "$TMP/full.csv"; then
+  echo "FAIL: --threads '1, 1' run differs from the single sweep" >&2
+  exit 1
+fi
+
 # Unknown environment overrides: exit 1 before any output is written.
 # "fast-ulp" is the mode's printed name, "avx" a near miss; both used
 # to run silently with the default.

@@ -170,14 +170,15 @@ SegmentParse parse_segment(std::string_view document) {
     return parse;
   }
   std::string_view rest = trailer.body;
-
-  const std::size_t magic_eol = rest.find('\n');
-  if (magic_eol == std::string_view::npos) {
-    parse.error = "missing magic line";
+  // Every line of a segment (magic, entry headers, payload separators)
+  // ends in '\n', so a body that does not is truncated, and every line
+  // taken below had its newline.
+  if (!rest.ends_with('\n')) {
+    parse.error = "truncated segment (no final newline)";
     return parse;
   }
-  const std::string_view magic = rest.substr(0, magic_eol);
-  rest.remove_prefix(magic_eol + 1);
+
+  const std::string_view magic = util::take_line(rest);
   if (!magic.starts_with(kMagicPrefix)) {
     parse.error = "bad magic line '" + std::string(magic) + "'";
     return parse;
@@ -191,13 +192,7 @@ SegmentParse parse_segment(std::string_view document) {
   }
 
   while (!rest.empty()) {
-    const std::size_t eol = rest.find('\n');
-    if (eol == std::string_view::npos) {
-      parse.error = "truncated entry header";
-      return parse;
-    }
-    const std::string_view line = rest.substr(0, eol);
-    rest.remove_prefix(eol + 1);
+    const std::string_view line = util::take_line(rest);
     if (!line.starts_with("entry ")) {
       parse.error = "malformed entry line '" + std::string(line) + "'";
       return parse;

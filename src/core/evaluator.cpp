@@ -154,9 +154,12 @@ PaperResults PaperEvaluator::run_all(corridor::IsdSource source,
   PaperResults results;
   // The heavy experiments are independent; run them as one task batch.
   // Each writes only its own member, so the aggregate is identical to
-  // the sequential evaluation at any thread count. The sweep is task 0:
-  // chunk 0 runs on the calling thread, which is not a pool worker, so
-  // the sweep's own inner grid loop stays parallel.
+  // the sequential evaluation at any thread count. The sweep is task 0,
+  // run by the calling thread inside this region, so its per-N search
+  // map runs inline (exec::in_parallel_region()). That costs no wall
+  // time: the whole search is a fraction of a millisecond at 1 thread
+  // (bench_parallel_scaling `max_isd_sweep`), while the Table IV sizing
+  // task beside it takes milliseconds (`pv_sizing_grid`).
   const std::size_t tasks = include_fig3 ? 4 : 3;
   exec::parallel_for(tasks, [&](std::size_t task) {
     switch (task) {

@@ -1,5 +1,6 @@
 #include "core/scenario_spec.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -66,25 +67,12 @@ void set_timetable(Scenario& s, Mutate&& mutate) {
 /// travel as ONE axis value in its ';' spelling (e.g.
 /// `axis sizing.ladder = 540:720;540:1440, 600:1440;600:2160` is a
 /// two-cell axis of two-rung ladders).
-std::vector<std::string> parse_list(const SpecEntry& e) {
-  std::vector<std::string> items;
-  std::size_t begin = 0;
-  const std::string& value = e.value;
-  while (begin <= value.size()) {
-    std::size_t end = value.find_first_of(",;", begin);
-    if (end == std::string::npos) end = value.size();
-    std::size_t lo = begin, hi = end;
-    while (lo < hi && value[lo] == ' ') ++lo;
-    while (hi > lo && value[hi - 1] == ' ') --hi;
-    items.push_back(value.substr(lo, hi - lo));
-    begin = end + 1;
-  }
-  for (const auto& item : items) {
-    if (item.empty()) {
-      throw util::ConfigError("malformed value for '" + e.key + "' (line " +
-                              std::to_string(e.line) +
-                              "): empty list item in '" + e.value + "'");
-    }
+std::vector<std::string_view> parse_list(const SpecEntry& e) {
+  auto items = util::split_list(e.value, ",;");
+  if (std::find(items.begin(), items.end(), "") != items.end()) {
+    throw util::ConfigError("malformed value for '" + e.key + "' (line " +
+                            std::to_string(e.line) +
+                            "): empty list item in '" + e.value + "'");
   }
   return items;
 }
@@ -95,8 +83,8 @@ std::vector<solar::Location> parse_locations(const SpecEntry& e) {
     const solar::Location* location = solar::find_location(name);
     if (location == nullptr) {
       throw util::ConfigError(
-          "unknown location '" + name + "' for '" + e.key + "' (line " +
-          std::to_string(e.line) +
+          "unknown location '" + std::string(name) + "' for '" + e.key +
+          "' (line " + std::to_string(e.line) +
           "); catalog: " + solar::location_catalog_names());
     }
     locations.push_back(*location);
@@ -111,10 +99,10 @@ std::vector<solar::SizingCandidate> parse_ladder(const SpecEntry& e) {
     const auto fail = [&](const std::string& why) -> util::ConfigError {
       return util::ConfigError("malformed value for '" + e.key +
                                "' (line " + std::to_string(e.line) + "): " +
-                               why + " in rung '" + item +
+                               why + " in rung '" + std::string(item) +
                                "' (expected <pv_wp>:<battery_wh>)");
     };
-    if (colon == std::string::npos) throw fail("missing ':'");
+    if (colon == std::string_view::npos) throw fail("missing ':'");
     // Reuse the strict scalar parser by wrapping each half in a
     // synthetic entry carrying the original key and line.
     SpecEntry half = e;

@@ -1,6 +1,7 @@
 #include "corridor/sweep.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <utility>
 
@@ -10,91 +11,17 @@
 
 namespace railcorr::corridor {
 
-namespace {
-
 using util::ConfigError;
 using util::SpecEntry;
-
-std::vector<std::string> split_values(const std::string& csv,
-                                      const SpecEntry& entry) {
-  std::vector<std::string> values;
-  std::string_view rest = csv;
-  while (true) {
-    const std::size_t comma = rest.find(',');
-    std::string_view token =
-        comma == std::string_view::npos ? rest : rest.substr(0, comma);
-    while (!token.empty() && token.front() == ' ') token.remove_prefix(1);
-    while (!token.empty() && token.back() == ' ') token.remove_suffix(1);
-    if (token.empty()) {
-      throw ConfigError("sweep axis '" + entry.key + "' (line " +
-                        std::to_string(entry.line) + "): empty value in '" +
-                        csv + "'");
-    }
-    values.emplace_back(token);
-    if (comma == std::string_view::npos) break;
-    rest.remove_prefix(comma + 1);
-  }
-  return values;
-}
-
-/// First line / header / indexed rows of one shard document.
-struct ParsedShard {
-  std::string banner;
-  std::string header;
-  std::vector<std::pair<std::size_t, std::string>> rows;
-};
-
-std::optional<ParsedShard> parse_shard(std::string_view document,
-                                       const std::string& label,
-                                       std::vector<std::string>& errors) {
-  ParsedShard shard;
-  std::string_view rest = document;
-  std::size_t line_no = 0;
-  while (!rest.empty()) {
-    ++line_no;
-    const std::size_t eol = rest.find('\n');
-    std::string_view line =
-        eol == std::string_view::npos ? rest : rest.substr(0, eol);
-    rest.remove_prefix(eol == std::string_view::npos ? rest.size() : eol + 1);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-
-    if (line_no == 1) {
-      if (!line.starts_with("# railcorr-sweep-v1 ")) {
-        errors.push_back(label + ": missing '# railcorr-sweep-v1' banner");
-        return std::nullopt;
-      }
-      shard.banner = std::string(line);
-      continue;
-    }
-    if (shard.header.empty()) {
-      shard.header = std::string(line);
-      continue;
-    }
-    const std::size_t comma = line.find(',');
-    const auto index = comma == std::string_view::npos
-                           ? std::nullopt
-                           : util::parse_decimal(line.substr(0, comma));
-    if (!index.has_value()) {
-      errors.push_back(label + " line " + std::to_string(line_no) +
-                       ": expected '<index>,...', got '" + std::string(line) +
-                       "'");
-      return std::nullopt;
-    }
-    shard.rows.emplace_back(*index, std::string(line));
-  }
-  if (shard.banner.empty() || shard.header.empty()) {
-    errors.push_back(label + ": truncated document (banner or header missing)");
-    return std::nullopt;
-  }
-  return shard;
-}
-
-}  // namespace
 
 SweepPlan SweepPlan::from_spec(std::string_view text) {
   SweepPlan plan;
   bool base_seen = false;
+  // The key path after `set ` / `axis `. parse_spec trimmed the key's
+  // end, so a non-blank character always follows the prefix.
+  const auto key_path = [](const SpecEntry& entry, std::size_t prefix) {
+    return entry.key.substr(entry.key.find_first_not_of(' ', prefix));
+  };
   for (const auto& entry : util::parse_spec(text)) {
     if (entry.key == "base") {
       if (base_seen) {
@@ -104,33 +31,31 @@ SweepPlan SweepPlan::from_spec(std::string_view text) {
       plan.base = entry.value;
       base_seen = true;
     } else if (entry.key.starts_with("set ")) {
-      SpecEntry fixed = entry;
-      fixed.key = entry.key.substr(4);
-      while (!fixed.key.empty() && fixed.key.front() == ' ') {
-        fixed.key.erase(fixed.key.begin());
-      }
-      if (fixed.key.empty()) {
-        throw ConfigError("sweep plan line " + std::to_string(entry.line) +
-                          ": 'set' without a key path");
-      }
-      plan.fixed.push_back(std::move(fixed));
+      plan.fixed.push_back(
+          SpecEntry{key_path(entry, 4), entry.value, entry.line});
     } else if (entry.key.starts_with("axis ")) {
-      SweepAxis axis;
-      axis.key = entry.key.substr(5);
-      while (!axis.key.empty() && axis.key.front() == ' ') {
-        axis.key.erase(axis.key.begin());
-      }
-      if (axis.key.empty()) {
-        throw ConfigError("sweep plan line " + std::to_string(entry.line) +
-                          ": 'axis' without a key path");
-      }
+      SweepAxis axis{key_path(entry, 5), {}};
       for (const auto& existing : plan.axes) {
         if (existing.key == axis.key) {
           throw ConfigError("sweep plan line " + std::to_string(entry.line) +
                             ": duplicate axis '" + axis.key + "'");
         }
       }
-      axis.values = split_values(entry.value, entry);
+      for (const std::string_view value : util::split_list(entry.value, ",")) {
+        if (value.empty()) {
+          throw ConfigError("sweep axis '" + entry.key + "' (line " +
+                            std::to_string(entry.line) +
+                            "): empty value in '" + entry.value + "'");
+        }
+        axis.values.emplace_back(value);
+      }
+      // size() must not wrap, or cell indices would decompose onto the
+      // wrong axis values.
+      if (plan.size() > SIZE_MAX / axis.values.size()) {
+        throw ConfigError("sweep plan line " + std::to_string(entry.line) +
+                          ": axis '" + axis.key + "' makes the grid larger "
+                          "than " + std::to_string(SIZE_MAX) + " cells");
+      }
       plan.axes.push_back(std::move(axis));
     } else {
       throw ConfigError("sweep plan line " + std::to_string(entry.line) +
@@ -263,6 +188,50 @@ std::string shard_header(const SweepPlan& plan,
   return header;
 }
 
+std::optional<ShardDocument> parse_shard(std::string_view document,
+                                         std::string* error) {
+  const auto trailer = util::check_integrity_trailer(document);
+  if (trailer.status == util::TrailerStatus::kCorrupt) {
+    *error = "integrity trailer mismatch (truncated or corrupted)";
+    return std::nullopt;
+  }
+  ShardDocument shard;
+  std::string_view rest = trailer.body;
+  for (std::size_t line_no = 1; !rest.empty(); ++line_no) {
+    std::string_view line = util::take_line(rest);
+    if (line.ends_with('\r')) line.remove_suffix(1);
+    if (line.empty()) continue;
+
+    if (line_no == 1) {
+      if (!line.starts_with("# railcorr-sweep-v1 ")) {
+        *error = "missing '# railcorr-sweep-v1' banner";
+        return std::nullopt;
+      }
+      shard.banner = line;
+      continue;
+    }
+    if (shard.header.empty()) {
+      shard.header = line;
+      continue;
+    }
+    const std::size_t comma = line.find(',');
+    const auto index = comma == std::string_view::npos
+                           ? std::nullopt
+                           : util::parse_decimal(line.substr(0, comma));
+    if (!index.has_value()) {
+      *error = "line " + std::to_string(line_no) +
+               ": expected '<index>,...', got '" + std::string(line) + "'";
+      return std::nullopt;
+    }
+    shard.rows.emplace_back(*index, line);
+  }
+  if (shard.banner.empty() || shard.header.empty()) {
+    *error = "truncated document (banner or header missing)";
+    return std::nullopt;
+  }
+  return shard;
+}
+
 MergeResult merge_shards(const std::vector<std::string>& shard_documents,
                          const std::vector<std::string>& shard_names) {
   MergeResult result;
@@ -279,22 +248,20 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
                                : "shard '" + shard_names[s] + "'";
   };
 
-  std::vector<ParsedShard> shards;
+  // A malformed document — including one whose `@railcorr-crc` trailer
+  // does not match its bytes, i.e. a file truncated or corrupted on
+  // disk — is an input error, not a determinism-contract breach, so
+  // contract_violation stays false and the orchestrator recomputes the
+  // shard instead of aborting. A document with no trailer (a
+  // hand-built shard, a legacy file) is parsed as-is.
+  std::vector<ShardDocument> shards;
   for (std::size_t s = 0; s < shard_documents.size(); ++s) {
-    // Integrity first: a document whose `@railcorr-crc` trailer does
-    // not match its bytes was truncated or corrupted on disk — an I/O
-    // failure of that file, not a determinism-contract breach, so
-    // contract_violation stays false and the orchestrator recomputes
-    // the shard instead of aborting. A document with no trailer (a
-    // hand-built shard, a legacy file) is parsed as-is.
-    const auto trailer = util::check_integrity_trailer(shard_documents[s]);
-    if (trailer.status == util::TrailerStatus::kCorrupt) {
-      result.errors.push_back(
-          label(s) + ": integrity trailer mismatch (truncated or corrupted)");
+    std::string error;
+    auto parsed = parse_shard(shard_documents[s], &error);
+    if (!parsed.has_value()) {
+      result.errors.push_back(label(s) + ": " + error);
       return result;
     }
-    auto parsed = parse_shard(trailer.body, label(s), result.errors);
-    if (!parsed.has_value()) return result;
     shards.push_back(std::move(*parsed));
   }
 
@@ -302,8 +269,8 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
     if (shards[s].banner != shards[0].banner) {
       result.errors.push_back(label(s) +
                               ": plan fingerprint/grid differs from " +
-                              label(0) + " ('" + shards[s].banner + "' vs '" +
-                              shards[0].banner + "')");
+                              label(0) + " ('" + std::string(shards[s].banner) +
+                              "' vs '" + std::string(shards[0].banner) + "')");
     }
     if (shards[s].header != shards[0].header) {
       result.errors.push_back(label(s) + ": column header differs from " +
@@ -322,7 +289,7 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
   // produced byte-identical rows. Each kept row remembers which shard
   // supplied it, so a violation names both sides of the disagreement.
   struct CellRow {
-    std::string row;
+    std::string_view row;
     std::size_t source;
   };
   std::map<std::size_t, CellRow> cells;
@@ -339,8 +306,9 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
         result.contract_violation = true;
         result.errors.push_back(
             "determinism violation at grid cell " + std::to_string(index) +
-            ": " + label(s) + " produced '" + row + "' but " +
-            label(it->second.source) + " produced '" + it->second.row + "'");
+            ": " + label(s) + " produced '" + std::string(row) + "' but " +
+            label(it->second.source) + " produced '" +
+            std::string(it->second.row) + "'");
       }
     }
   }
@@ -367,10 +335,13 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
   if (!result.errors.empty()) return result;
 
   result.ok = true;
-  result.merged = shards[0].banner + "\n" + shards[0].header + "\n";
+  result.merged = std::string(shards[0].banner) + "\n";
+  result.merged += shards[0].header;
+  result.merged += "\n";
   for (const auto& [index, cell] : cells) {
     (void)index;
-    result.merged += cell.row + "\n";
+    result.merged += cell.row;
+    result.merged += "\n";
   }
   return result;
 }

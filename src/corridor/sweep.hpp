@@ -31,6 +31,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/config.hpp"
@@ -113,6 +114,24 @@ std::optional<std::size_t> banner_grid(std::string_view banner);
 /// The CSV header row: index, one column per axis key, then `metrics`.
 std::string shard_header(const SweepPlan& plan,
                          const std::vector<std::string>& metric_columns);
+
+/// One shard document as views into its bytes (valid only while the
+/// parsed document lives).
+struct ShardDocument {
+  std::string_view banner;
+  std::string_view header;
+  /// Data rows in document order, each with its leading cell index.
+  std::vector<std::pair<std::size_t, std::string_view>> rows;
+};
+
+/// The one shard-document parser, shared by `merge_shards` and the
+/// orchestrator's shard verification. An integrity trailer, when
+/// present, is verified and stripped first; lines may end in `\r\n`,
+/// and blank lines are skipped. Returns std::nullopt with `*error`
+/// (never null) naming the defect — a corrupt trailer, a missing
+/// banner or header, or the line of a row without a decimal index.
+std::optional<ShardDocument> parse_shard(std::string_view document,
+                                         std::string* error);
 ///@}
 
 /// Outcome of merging shard files.

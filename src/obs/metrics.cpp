@@ -7,100 +7,20 @@
 #include <memory>
 #include <mutex>
 
-#include "util/config.hpp"
+#include "obs/scanner.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::obs {
 namespace {
 
-/// Strict JSON cursor for the metrics document. Unlike the trace
-/// parser this one skips whitespace between tokens — the renderer
-/// breaks sections across lines for readability.
-class Scanner {
- public:
-  explicit Scanner(std::string_view s) : s_(s) {}
-
-  void skip_ws() {
-    while (i_ < s_.size() &&
-           (s_[i_] == ' ' || s_[i_] == '\n' || s_[i_] == '\t' ||
-            s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-
-  bool eat(char c) {
-    skip_ws();
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
-  bool eat_lit(std::string_view lit) {
-    skip_ws();
-    if (s_.substr(i_, lit.size()) == lit) {
-      i_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_u64(std::uint64_t& out) {
-    skip_ws();
-    std::string_view rest = s_.substr(i_);
-    const auto value = util::take_decimal(rest);
-    if (!value.has_value()) return false;
-    i_ = s_.size() - rest.size();
-    out = *value;
-    return true;
-  }
-
-  bool parse_i64(std::int64_t& out) {
-    skip_ws();
-    const bool negative = i_ < s_.size() && s_[i_] == '-';
-    if (negative) ++i_;
-    std::uint64_t magnitude = 0;
-    if (!parse_u64(magnitude)) return false;
-    if (negative) {
-      if (magnitude > static_cast<std::uint64_t>(INT64_MAX) + 1) return false;
-      out = static_cast<std::int64_t>(0 - magnitude);
-    } else {
-      if (magnitude > static_cast<std::uint64_t>(INT64_MAX)) return false;
-      out = static_cast<std::int64_t>(magnitude);
-    }
-    return true;
-  }
-
-  /// Metric names are a closed charset; no escapes to handle.
-  bool parse_name(std::string& out) {
-    skip_ws();
-    if (i_ >= s_.size() || s_[i_] != '"') return false;
-    ++i_;
-    out.clear();
-    while (i_ < s_.size() && s_[i_] != '"') {
-      const char c = s_[i_];
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == '.' ||
-                      c == '-';
-      if (!ok) return false;
-      out.push_back(c);
-      ++i_;
-    }
-    if (i_ >= s_.size()) return false;
-    ++i_;
-    return !out.empty();
-  }
-
-  [[nodiscard]] bool done() {
-    skip_ws();
-    return i_ == s_.size();
-  }
-
- private:
-  std::string_view s_;
-  std::size_t i_ = 0;
-};
+/// Metric names are a closed charset, so no escapes survive the check.
+bool parse_name(Scanner& sc, std::string& out) {
+  if (!sc.parse_string(out) || out.empty()) return false;
+  return std::all_of(out.begin(), out.end(), [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
+  });
+}
 
 template <typename T>
 bool sorted_unique_names(const std::vector<std::pair<std::string, T>>& v) {
@@ -286,16 +206,16 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     return out;
   }
   Scanner sc(check.body);
-  if (!sc.eat_lit("{\"railcorrMetrics\":1") || !sc.eat(',')) {
+  if (!sc.eat_lit("{\"railcorrMetrics\":1,")) {
     out.error = "malformed metrics header";
     return out;
   }
   if (!sc.eat_lit("\"sources\":") || !sc.parse_u64(out.sources) ||
-      !sc.eat(',')) {
+      !sc.eat_lit(",\n")) {
     out.error = "malformed \"sources\" entry";
     return out;
   }
-  if (!sc.eat_lit("\"counters\":") || !sc.eat('{')) {
+  if (!sc.eat_lit("\"counters\":{")) {
     out.error = "malformed \"counters\" section";
     return out;
   }
@@ -303,7 +223,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     do {
       std::string name;
       std::uint64_t value = 0;
-      if (!sc.parse_name(name) || !sc.eat(':') || !sc.parse_u64(value)) {
+      if (!parse_name(sc, name) || !sc.eat(':') || !sc.parse_u64(value)) {
         out.error = "malformed counter entry";
         return out;
       }
@@ -314,7 +234,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
       return out;
     }
   }
-  if (!sc.eat(',') || !sc.eat_lit("\"gauges\":") || !sc.eat('{')) {
+  if (!sc.eat_lit(",\n\"gauges\":{")) {
     out.error = "malformed \"gauges\" section";
     return out;
   }
@@ -322,7 +242,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     do {
       std::string name;
       std::int64_t value = 0;
-      if (!sc.parse_name(name) || !sc.eat(':') || !sc.parse_i64(value)) {
+      if (!parse_name(sc, name) || !sc.eat(':') || !sc.parse_i64(value)) {
         out.error = "malformed gauge entry";
         return out;
       }
@@ -333,7 +253,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
       return out;
     }
   }
-  if (!sc.eat(',') || !sc.eat_lit("\"histograms\":") || !sc.eat('{')) {
+  if (!sc.eat_lit(",\n\"histograms\":{")) {
     out.error = "malformed \"histograms\" section";
     return out;
   }
@@ -341,8 +261,8 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     do {
       std::string name;
       MetricsSnapshot::Hist h;
-      if (!sc.parse_name(name) || !sc.eat(':') || !sc.eat('{') ||
-          !sc.eat_lit("\"count\":") || !sc.parse_u64(h.count) ||
+      if (!sc.eat('\n') || !parse_name(sc, name) ||
+          !sc.eat_lit(":{\"count\":") || !sc.parse_u64(h.count) ||
           !sc.eat(',') || !sc.eat_lit("\"sum\":") || !sc.parse_u64(h.sum) ||
           !sc.eat(',') || !sc.eat_lit("\"min\":") || !sc.parse_u64(h.min) ||
           !sc.eat(',') || !sc.eat_lit("\"max\":") || !sc.parse_u64(h.max) ||
@@ -378,7 +298,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
       return out;
     }
   }
-  if (!sc.eat('}') || !sc.done()) {
+  if (!sc.eat_lit("}\n") || !sc.done()) {
     out.error = "trailing bytes after metrics document";
     return out;
   }

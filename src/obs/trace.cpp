@@ -4,6 +4,7 @@
 #include <chrono>
 #include <sstream>
 
+#include "obs/scanner.hpp"
 #include "util/config.hpp"
 #include "util/durable_io.hpp"
 
@@ -102,65 +103,6 @@ std::string document_header(std::uint64_t epoch_usec) {
 }
 
 // ---------------------------------------------------------------- parser --
-
-/// Strict cursor over one event-object line.
-class Scanner {
- public:
-  explicit Scanner(std::string_view s) : s_(s) {}
-
-  bool eat(char c) {
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
-  bool eat_lit(std::string_view lit) {
-    if (s_.substr(i_, lit.size()) == lit) {
-      i_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  /// Decimal u64, at least one digit, no sign, no leading '+'.
-  bool parse_u64(std::uint64_t& out) {
-    std::string_view rest = s_.substr(i_);
-    const auto value = util::take_decimal(rest);
-    if (!value.has_value()) return false;
-    i_ = s_.size() - rest.size();
-    out = *value;
-    return true;
-  }
-
-  /// Quoted string; unescapes \" and \\ (the only escapes we emit).
-  bool parse_string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (i_ < s_.size()) {
-      const char c = s_[i_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (i_ >= s_.size()) return false;
-        const char esc = s_[i_++];
-        if (esc != '"' && esc != '\\') return false;
-        out.push_back(esc);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false;
-      } else {
-        out.push_back(c);
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool done() const { return i_ == s_.size(); }
-
- private:
-  std::string_view s_;
-  std::size_t i_ = 0;
-};
 
 bool parse_event_object(std::string_view line, ParsedTraceEvent& ev,
                         std::string& error) {
@@ -455,59 +397,46 @@ ParsedTrace parse_trace(std::string_view document) {
     out.error = "corrupt integrity trailer (truncated or bit-flipped trace)";
     return out;
   }
-  const std::string_view body = check.body;
-
-  // Split into lines; the final line may lack its newline only if the
-  // document was written without one (serialize always terminates).
-  std::vector<std::string_view> lines;
-  std::size_t pos = 0;
-  while (pos < body.size()) {
-    const std::size_t nl = body.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      lines.push_back(body.substr(pos));
-      break;
-    }
-    lines.push_back(body.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  if (lines.size() < 2) {
+  // Line 1 is the header, the last line (whose newline may be missing
+  // only if the document was written without one; serialize always
+  // terminates) closes the array, and the lines between are events.
+  std::string_view rest = check.body;
+  const std::string_view header_line = util::take_line(rest);
+  if (rest.empty()) {
     out.error = "truncated document (header or closing line missing)";
     return out;
   }
-
-  {
-    Scanner header(lines[0]);
-    if (!header.eat_lit(kHeaderPrefix) || !header.parse_u64(out.epoch_usec) ||
-        !header.eat_lit(kHeaderSuffix) || !header.done()) {
-      out.error = "line 1: malformed trace header";
-      return out;
-    }
+  Scanner header(header_line);
+  if (!header.eat_lit(kHeaderPrefix) || !header.parse_u64(out.epoch_usec) ||
+      !header.eat_lit(kHeaderSuffix) || !header.done()) {
+    out.error = "line 1: malformed trace header";
+    return out;
   }
-  if (lines.back() != "]}") {
+  if (rest.ends_with('\n')) rest.remove_suffix(1);
+  if (rest != "]}" && !rest.ends_with("\n]}")) {
     out.error = "document does not end with \"]}\"";
     return out;
   }
+  rest.remove_suffix(2);
 
-  const std::size_t last_event = lines.size() - 2;
-  for (std::size_t i = 1; i <= last_event; ++i) {
-    std::string_view line = lines[i];
-    const bool wants_comma = i < last_event;
-    if (wants_comma) {
-      if (line.empty() || line.back() != ',') {
-        out.error = "line " + std::to_string(i + 1) +
-                    ": missing ',' between events";
+  for (std::size_t line_no = 2; !rest.empty(); ++line_no) {
+    std::string_view line = util::take_line(rest);
+    if (!rest.empty()) {
+      if (!line.ends_with(',')) {
+        out.error =
+            "line " + std::to_string(line_no) + ": missing ',' between events";
         return out;
       }
       line.remove_suffix(1);
-    } else if (!line.empty() && line.back() == ',') {
-      out.error = "line " + std::to_string(i + 1) +
-                  ": trailing ',' before \"]}\"";
+    } else if (line.ends_with(',')) {
+      out.error =
+          "line " + std::to_string(line_no) + ": trailing ',' before \"]}\"";
       return out;
     }
     ParsedTraceEvent ev;
     std::string error;
     if (!parse_event_object(line, ev, error)) {
-      out.error = "line " + std::to_string(i + 1) + ": " + error;
+      out.error = "line " + std::to_string(line_no) + ": " + error;
       return out;
     }
     out.events.push_back(std::move(ev));

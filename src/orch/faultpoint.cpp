@@ -94,17 +94,9 @@ void FaultInjector::arm(const FaultSpec& spec) { armed_.push_back(spec); }
 void FaultInjector::arm_from_env() {
   const char* env = std::getenv("RAILCORR_FAULT");
   if (env == nullptr) return;
-  std::string_view rest(env);
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    std::string_view token =
-        comma == std::string_view::npos ? rest : rest.substr(0, comma);
-    rest.remove_prefix(comma == std::string_view::npos ? rest.size()
-                                                       : comma + 1);
-    while (!token.empty() && token.front() == ' ') token.remove_prefix(1);
-    while (!token.empty() && token.back() == ' ') token.remove_suffix(1);
-    if (token.empty()) continue;
-    arm(parse_fault_spec(token));
+  // A test aid, so stray commas are forgiven: empty items are skipped.
+  for (const std::string_view token : util::split_list(env, ",")) {
+    if (!token.empty()) arm(parse_fault_spec(token));
   }
 }
 

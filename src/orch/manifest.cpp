@@ -64,7 +64,7 @@ RunManifest RunManifest::parse(std::string_view text) {
   // newline. Such a line is dropped, not diagnosed: the entry it was
   // recording simply never became durable, which is exactly the
   // recovery semantic resume wants. Mid-document damage still throws.
-  const bool ends_with_newline = !text.empty() && text.back() == '\n';
+  const bool ends_with_newline = text.ends_with('\n');
   std::size_t line_no = 0;
 
   const auto apply_line = [&](std::string_view line) {
@@ -138,13 +138,9 @@ RunManifest RunManifest::parse(std::string_view text) {
 
   while (!text.empty()) {
     ++line_no;
-    const std::size_t eol = text.find('\n');
-    std::string_view line =
-        eol == std::string_view::npos ? text : text.substr(0, eol);
-    const bool torn_final =
-        eol == std::string_view::npos && !ends_with_newline;
-    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    std::string_view line = util::take_line(text);
+    const bool torn_final = text.empty() && !ends_with_newline;
+    if (line.ends_with('\r')) line.remove_suffix(1);
     if (line.empty()) continue;
 
     if (!magic_seen) {

@@ -26,44 +26,36 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-/// True when `document` holds an intact shard payload for `shard`: a
-/// verified (or absent) integrity trailer, the expected banner, and one
-/// data row per owned cell. A banner-only check would let a file
-/// truncated after its first line pass validation and wedge every
-/// subsequent --resume in the same merge failure; the trailer catches
-/// bit corruption the row count cannot, and the row count catches a
-/// cleanly-truncated legacy file with no trailer. `why` (never null)
-/// names the defect.
+/// True when `document` holds an intact shard payload for `shard`: it
+/// parses (a verified or absent integrity trailer, banner, header,
+/// indexed rows), carries the expected banner, and its rows are exactly
+/// the owned cells in order. A banner-only check would let a file
+/// truncated after its first line pass validation, and a row-count-only
+/// check a trailerless file holding another shard's rows; either would
+/// wedge every subsequent --resume in the same merge coverage failure.
+/// `why` (never null) names the defect.
 bool shard_document_intact(std::string_view document, std::string_view banner,
                            corridor::ShardSpec shard, std::size_t grid,
                            std::string* why) {
-  const auto trailer = util::check_integrity_trailer(document);
-  if (trailer.status == util::TrailerStatus::kCorrupt) {
-    *why = "integrity trailer mismatch (truncated or corrupted)";
+  const auto parsed = corridor::parse_shard(document, why);
+  if (!parsed.has_value()) return false;
+  if (parsed->banner != banner) {
+    *why = "wrong banner '" + std::string(parsed->banner) + "'";
     return false;
   }
-  std::string_view rest = trailer.body;
-  std::size_t lines = 0;
-  std::string_view first;
-  while (!rest.empty()) {
-    const std::size_t eol = rest.find('\n');
-    std::string_view line =
-        eol == std::string_view::npos ? rest : rest.substr(0, eol);
-    rest.remove_prefix(eol == std::string_view::npos ? rest.size() : eol + 1);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-    if (lines == 0) first = line;
-    ++lines;
-  }
-  if (lines < 2 || first != banner) {
-    *why = "missing or wrong banner/header";
+  const auto owned = shard.indices(grid);
+  if (parsed->rows.size() != owned.size()) {
+    *why = "row count " + std::to_string(parsed->rows.size()) +
+           " != owned cells " + std::to_string(owned.size());
     return false;
   }
-  // Banner + header + one row per owned cell.
-  if (lines - 2 != shard.indices(grid).size()) {
-    *why = "row count " + std::to_string(lines - 2) + " != owned cells " +
-           std::to_string(shard.indices(grid).size());
-    return false;
+  for (std::size_t i = 0; i < owned.size(); ++i) {
+    if (parsed->rows[i].first != owned[i]) {
+      *why = "row " + std::to_string(i + 1) + " holds cell " +
+             std::to_string(parsed->rows[i].first) + ", expected cell " +
+             std::to_string(owned[i]);
+      return false;
+    }
   }
   return true;
 }

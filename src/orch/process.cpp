@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/config.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::orch {
@@ -57,6 +58,15 @@ ExitStatus decode_status(int raw) {
     status.code = WEXITSTATUS(raw);
   }
   return status;
+}
+
+/// Move the lines of `partial`'s first `length` bytes into `lines` and
+/// drop those bytes.
+void take_lines(std::string& partial, std::size_t length,
+                std::vector<std::string>& lines) {
+  std::string_view rest = std::string_view(partial).substr(0, length);
+  while (!rest.empty()) lines.emplace_back(util::take_line(rest));
+  partial.erase(0, length);
 }
 
 }  // namespace
@@ -159,26 +169,13 @@ bool ChildProcess::drain(std::vector<std::string>& lines) {
     if (n < 0 && errno == EINTR) continue;
     // EOF (or unrecoverable error): flush any unterminated tail line
     // — a killed worker's last progress line is still evidence.
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < partial_.size(); ++i) {
-      if (partial_[i] == '\n') {
-        lines.push_back(partial_.substr(start, i - start));
-        start = i + 1;
-      }
-    }
-    if (start < partial_.size()) lines.push_back(partial_.substr(start));
-    partial_.clear();
+    take_lines(partial_, partial_.size(), lines);
     close_stdout();
     return false;
   }
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < partial_.size(); ++i) {
-    if (partial_[i] == '\n') {
-      lines.push_back(partial_.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  partial_.erase(0, start);
+  // Complete lines only: through the last newline (npos + 1 == 0 when
+  // there is none); the tail waits for the next read.
+  take_lines(partial_, partial_.rfind('\n') + 1, lines);
   return true;
 }
 

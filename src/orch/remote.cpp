@@ -11,14 +11,11 @@ namespace {
 
 using util::ConfigError;
 
+/// Whitespace-separated words; runs of spaces and tabs are one break.
 std::vector<std::string> split_tokens(std::string_view text) {
   std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-    std::size_t start = i;
-    while (i < text.size() && text[i] != ' ' && text[i] != '\t') ++i;
-    if (i > start) tokens.emplace_back(text.substr(start, i - start));
+  for (const std::string_view token : util::split_list(text, " \t")) {
+    if (!token.empty()) tokens.emplace_back(token);
   }
   return tokens;
 }
@@ -111,35 +108,20 @@ std::string substitute(std::string_view token, std::string_view name,
 
 std::vector<std::string> parse_host_list(std::string_view text) {
   std::vector<std::string> hosts;
-  std::string_view rest = text;
-  while (true) {
-    const std::size_t comma = rest.find(',');
-    std::string_view token =
-        comma == std::string_view::npos ? rest : rest.substr(0, comma);
-    while (!token.empty() && (token.front() == ' ' || token.front() == '\t')) {
-      token.remove_prefix(1);
-    }
-    while (!token.empty() && (token.back() == ' ' || token.back() == '\t')) {
-      token.remove_suffix(1);
-    }
+  for (const std::string_view token : util::split_list(text, ",")) {
     if (token.empty()) {
       throw ConfigError("--hosts: empty host name in '" + std::string(text) +
                         "'");
     }
-    if (token.find(' ') != std::string_view::npos ||
-        token.find('\t') != std::string_view::npos) {
+    if (token.find_first_of(" \t") != std::string_view::npos) {
       throw ConfigError("--hosts: host name '" + std::string(token) +
                         "' contains whitespace");
     }
-    for (const auto& existing : hosts) {
-      if (existing == token) {
-        throw ConfigError("--hosts: duplicate host name '" +
-                          std::string(token) + "'");
-      }
+    if (std::find(hosts.begin(), hosts.end(), token) != hosts.end()) {
+      throw ConfigError("--hosts: duplicate host name '" +
+                        std::string(token) + "'");
     }
     hosts.emplace_back(token);
-    if (comma == std::string_view::npos) break;
-    rest.remove_prefix(comma + 1);
   }
   return hosts;
 }

@@ -10,15 +10,11 @@ namespace {
 /// Lowercase only: the encoder's table is also the decoder's alphabet.
 constexpr std::string_view kHexDigits = "0123456789abcdef";
 
+/// `s` without leading and trailing spaces and tabs.
 std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' ||
-                        s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
+  const std::size_t first = s.find_first_not_of(" \t");
+  if (first == std::string_view::npos) return {};
+  return s.substr(first, s.find_last_not_of(" \t") - first + 1);
 }
 
 [[noreturn]] void raise_value_error(const SpecEntry& entry,
@@ -40,15 +36,31 @@ bool parse_whole(std::string_view token, T& out) {
 
 }  // namespace
 
+std::string_view take_line(std::string_view& rest) {
+  const std::size_t eol = rest.find('\n');
+  const std::string_view line = rest.substr(0, eol);
+  rest.remove_prefix(eol == std::string_view::npos ? rest.size() : eol + 1);
+  return line;
+}
+
+std::vector<std::string_view> split_list(std::string_view text,
+                                         std::string_view separators) {
+  std::vector<std::string_view> items;
+  for (;;) {
+    const std::size_t end = text.find_first_of(separators);
+    items.push_back(trim(text.substr(0, end)));
+    if (end == std::string_view::npos) return items;
+    text.remove_prefix(end + 1);
+  }
+}
+
 std::vector<SpecEntry> parse_spec(std::string_view text) {
   std::vector<SpecEntry> entries;
   int line_no = 0;
   while (!text.empty()) {
     ++line_no;
-    const std::size_t eol = text.find('\n');
-    std::string_view line =
-        eol == std::string_view::npos ? text : text.substr(0, eol);
-    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    std::string_view line = take_line(text);
+    if (line.ends_with('\r')) line.remove_suffix(1);
 
     const std::size_t hash = line.find('#');
     if (hash != std::string_view::npos) line = line.substr(0, hash);

@@ -50,8 +50,29 @@ struct SpecEntry {
 };
 
 /// Parse a spec document into ordered entries. Throws ConfigError on
-/// lines that are neither blank, comment, nor `key = value`.
+/// lines that are neither blank, comment, nor `key = value`. Lines may
+/// end in `\r\n`; spaces and tabs around keys and values are trimmed.
 std::vector<SpecEntry> parse_spec(std::string_view text);
+
+/// \name Line and list scanning
+/// The one line splitter and the one list splitter of every text
+/// format (spec and plan files, shard CSVs, manifests, cache segments,
+/// traces, CLI lists). Each format keeps its own grammar: whether it
+/// accepts `\r\n` and how it rejects an empty item is the caller's
+/// rule, never a mode of these helpers.
+///@{
+
+/// The text of `rest` before its first '\n' (all of `rest` when it has
+/// none), consumed together with that newline. A '\r' before the
+/// newline stays in the line.
+std::string_view take_line(std::string_view& rest);
+
+/// The items of `text` between the characters of `separators`, each
+/// trimmed of spaces and tabs. Empty items are kept (an empty `text` is
+/// one empty item) so that each caller rejects them by name.
+std::vector<std::string_view> split_list(std::string_view text,
+                                         std::string_view separators);
+///@}
 
 /// \name Typed value parsing
 /// Each throws ConfigError naming the entry's key and line when the

@@ -148,5 +148,21 @@ TEST(BaselineGate, AbsoluteTimesOnlyCheckedOnRequest) {
       check_against_baseline(current, baseline, 0.5, log, true).passed());
 }
 
+TEST(BaselineGate, RecordedTimeCeilingIsAlwaysChecked) {
+  std::vector<BaselineEntry> baseline(1);
+  baseline[0].name = "kernel";
+  baseline[0].threads = 1;
+  baseline[0].metrics["ns_per_op_ceiling"] = 100.0;
+
+  std::ostringstream log;
+  const auto gate = [&](double ns_per_op) {
+    return check_against_baseline({make_result("kernel", 1, ns_per_op, {})},
+                                  baseline, 0.5, log);
+  };
+  EXPECT_TRUE(gate(150.0).passed());  // 100 * 1.5
+  EXPECT_EQ(gate(150.0).checked, 1);
+  EXPECT_FALSE(gate(151.0).passed());
+}
+
 }  // namespace
 }  // namespace railcorr::bench

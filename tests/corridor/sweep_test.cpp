@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "util/durable_io.hpp"
 #include "util/vmath.hpp"
 
 namespace railcorr::corridor {
@@ -66,6 +69,41 @@ TEST(SweepPlan, ParseErrors) {
                util::ConfigError);
   EXPECT_THROW(SweepPlan::from_spec("frobnicate k = 1\n"),
                util::ConfigError);
+}
+
+TEST(SweepPlan, AxisValuesAreTrimmedAndNeverEmpty) {
+  const auto plan = SweepPlan::from_spec("axis k =  1 ,\t2\t, 3\n");
+  ASSERT_EQ(plan.axes.size(), 1u);
+  EXPECT_EQ(plan.axes[0].values, (std::vector<std::string>{"1", "2", "3"}));
+  for (const char* text : {"axis k = 60,\n", "axis k = ,60\n",
+                           "axis k = 1, ,2\n"}) {
+    try {
+      (void)SweepPlan::from_spec(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const util::ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find("(line 1): empty value"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(SweepPlan, RejectsAGridLargerThanSizeMax) {
+  // 64 two-value axes: 2^64 cells, which size() would wrap to 0.
+  std::string text;
+  for (int axis = 0; axis < 64; ++axis) {
+    text += "axis k" + std::to_string(axis) + " = 1, 2\n";
+  }
+  try {
+    (void)SweepPlan::from_spec(text);
+    FAIL() << "a 2^64-cell plan parsed";
+  } catch (const util::ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("sweep plan line 64: axis 'k63'"),
+              std::string::npos)
+        << error.what();
+  }
+  text.resize(text.rfind("axis k63"));
+  EXPECT_EQ(SweepPlan::from_spec(text).size(), std::size_t{1} << 63);
 }
 
 TEST(ShardSpec, ParseAndPartition) {
@@ -210,6 +248,41 @@ TEST(MergeShards, FingerprintMismatchIsRejected) {
       foreign,
   });
   EXPECT_FALSE(merged.ok);
+}
+
+TEST(ParseShard, ViewsBannerHeaderAndIndexedRows) {
+  const std::string doc = util::with_integrity_trailer(
+      tiny_banner() + "\r\nindex,k,metric\r\n\n3,4,40\r\n1,2,20\n");
+  std::string error;
+  const auto shard = parse_shard(doc, &error);
+  ASSERT_TRUE(shard.has_value()) << error;
+  EXPECT_EQ(shard->banner, tiny_banner());
+  EXPECT_EQ(shard->header, "index,k,metric");
+  ASSERT_EQ(shard->rows.size(), 2u);  // Document order, blank line skipped.
+  EXPECT_EQ(shard->rows[0].first, 3u);
+  EXPECT_EQ(shard->rows[0].second, "3,4,40");
+  EXPECT_EQ(shard->rows[1].first, 1u);
+  EXPECT_EQ(shard->rows[1].second, "1,2,20");
+  // Views into the document, not copies.
+  EXPECT_GE(shard->rows[1].second.data(), doc.data());
+  EXPECT_LT(shard->rows[1].second.data(), doc.data() + doc.size());
+}
+
+TEST(ParseShard, NamesEachDefect) {
+  const auto why = [](const std::string& doc) {
+    std::string error;
+    EXPECT_FALSE(parse_shard(doc, &error).has_value()) << doc;
+    return error;
+  };
+  std::string trailered = util::with_integrity_trailer(make_shard({}));
+  char& digit = trailered[trailered.size() - 2];
+  digit = digit == '0' ? '1' : '0';
+  EXPECT_NE(why(trailered).find("integrity trailer mismatch"),
+            std::string::npos);
+  EXPECT_NE(why("index,k\n0,1\n").find("banner"), std::string::npos);
+  EXPECT_NE(why(tiny_banner() + "\n").find("truncated"), std::string::npos);
+  EXPECT_NE(why(tiny_banner() + "\nindex,k\n0,1\nx,2\n").find("line 4"),
+            std::string::npos);
 }
 
 TEST(MergeShards, MalformedDocumentsAreRejected) {

@@ -113,6 +113,13 @@ TEST_F(FaultpointTest, EnvArmingParsesCommaSeparatedSpecs) {
   EXPECT_EQ(*injector.armed(FaultKind::kTornWrite), 10u);
   EXPECT_TRUE(injector.armed(FaultKind::kCorruptTrailer).has_value());
   EXPECT_FALSE(injector.armed(FaultKind::kStall).has_value());
+
+  // A test aid: stray commas and blanks around items are forgiven.
+  injector.clear();
+  ::setenv("RAILCORR_FAULT", ",\tstall=3 ,, kill=2,", 1);
+  injector.arm_from_env();
+  EXPECT_EQ(injector.armed(FaultKind::kStall), 3u);
+  EXPECT_EQ(injector.armed(FaultKind::kKillAfterCells), 2u);
 }
 
 TEST_F(FaultpointTest, EnvArmingIsANoOpWhenUnsetAndThrowsOnGarbage) {

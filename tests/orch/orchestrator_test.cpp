@@ -462,6 +462,43 @@ TEST(Orchestrate, ResumeRecomputesAShardWithACorruptTrailer) {
   EXPECT_EQ(resumed.merged, first.merged);
 }
 
+TEST(Orchestrate, ResumeRecomputesATrailerlessShardHoldingAnotherShardsRow) {
+  const auto plan = corridor::SweepPlan::from_spec("axis k = 1, 2\n");
+  TempDir staging;
+  TempDir run;
+  const auto docs = stage_toy_docs(plan, staging.path, 2);
+
+  std::size_t launches = 0;
+  OrchestrateOptions options;
+  options.workers = 2;
+  options.shards = 2;
+  options.speculate = false;
+  options.command = [&docs, &launches](const WorkerAttempt& attempt) {
+    ++launches;
+    return sh("cat '" + docs[attempt.shard] + "' > '" + attempt.out_path +
+              "'");
+  };
+  const auto first = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(first.ok) << (first.errors.empty() ? "" : first.errors[0]);
+
+  // Shard 1 owns cell 1 only. Replace its file with a trailerless
+  // document (merge accepts those as legacy or hand-built) holding the
+  // right banner and row count but cell 0's row: resume must recompute
+  // it rather than trust it into a merge coverage gap.
+  write_file(run.path / shard_file_name(1), toy_doc(plan, 0, 2));
+  fs::remove(run.path / "merged.csv");
+  launches = 0;
+  options.resume = true;
+  const auto resumed = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(resumed.ok)
+      << (resumed.errors.empty() ? "" : resumed.errors[0]);
+  EXPECT_EQ(launches, 1u);
+  EXPECT_EQ(resumed.stats.resumed, 1u);
+  EXPECT_EQ(resumed.merged, first.merged);
+  EXPECT_EQ(read_file(run.path / "merged.csv"),
+            util::with_integrity_trailer(first.merged));
+}
+
 TEST(Orchestrate, ResumeRefusesAMismatchedPlanFingerprint) {
   const auto plan = toy_plan();
   TempDir staging;

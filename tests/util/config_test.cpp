@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string_view>
+#include <vector>
 
 namespace railcorr::util {
 namespace {
@@ -31,6 +33,13 @@ TEST(ParseSpec, WindowsLineEndings) {
   const auto entries = parse_spec("a = 1\r\nb = 2\r\n");
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[1].value, "2");
+}
+
+TEST(ParseSpec, BlanksAroundKeysAndValuesAreTrimmed) {
+  const auto entries = parse_spec("\t a.b \t=\t 1 \t# note\r\n");
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].key, "a.b");
+  EXPECT_EQ(entries[0].value, "1");
 }
 
 TEST(ParseSpec, RejectsMalformedLines) {
@@ -145,6 +154,38 @@ TEST(TextCodecs, TakeDecimalConsumesOnlyTheLeadingDigitRun) {
   rest = "18446744073709551617/2";
   EXPECT_FALSE(take_decimal(rest).has_value());
   EXPECT_EQ(rest, "18446744073709551617/2");
+}
+
+TEST(TextScanning, TakeLineConsumesOneLineAndItsNewline) {
+  std::string_view rest = "a\r\n\nb";
+  EXPECT_EQ(take_line(rest), "a\r");  // '\r' is the caller's to strip.
+  EXPECT_EQ(rest, "\nb");
+  EXPECT_EQ(take_line(rest), "");
+  EXPECT_EQ(take_line(rest), "b");  // Unterminated final line.
+  EXPECT_TRUE(rest.empty());
+  EXPECT_EQ(take_line(rest), "");
+  EXPECT_TRUE(rest.empty());
+
+  rest = "x\n";
+  EXPECT_EQ(take_line(rest), "x");
+  EXPECT_TRUE(rest.empty());
+}
+
+TEST(TextScanning, SplitListTrimsBlanksAndKeepsEmptyItems) {
+  using Items = std::vector<std::string_view>;
+  EXPECT_EQ(split_list("2", ","), Items{"2"});
+  EXPECT_EQ(split_list("2, 2", ","), (Items{"2", "2"}));
+  EXPECT_EQ(split_list(" a ,\tb\t, c", ","), (Items{"a", "b", "c"}));
+  EXPECT_EQ(split_list("a b, c", ","), (Items{"a b", "c"}));
+  // Empty items survive so each caller can reject them by name.
+  EXPECT_EQ(split_list("", ","), Items{""});
+  EXPECT_EQ(split_list(" \t", ","), Items{""});
+  EXPECT_EQ(split_list("2,", ","), (Items{"2", ""}));
+  EXPECT_EQ(split_list(",2", ","), (Items{"", "2"}));
+  EXPECT_EQ(split_list("2,,2", ","), (Items{"2", "", "2"}));
+  // Every character of `separators` splits.
+  EXPECT_EQ(split_list("a;b, c", ",;"), (Items{"a", "b", "c"}));
+  EXPECT_EQ(split_list("a;b, c", ","), (Items{"a;b", "c"}));
 }
 
 }  // namespace

@@ -812,24 +812,15 @@ int cmd_orchestrate(const std::vector<std::string>& args, const char* argv0) {
        // One value for a homogeneous fleet, or a comma-separated list
        // assigning worker slot k the k-th entry (the last entry repeats
        // for higher slots) — heterogeneous machines give their big
-       // cores more threads than their little ones.
+       // cores more threads than their little ones. Items are trimmed
+       // like --hosts; an empty one is rejected.
        flag_call("--threads",
                  [&worker_threads](const std::string& value) {
-                   std::string_view rest = value;
                    worker_threads.clear();
-                   while (!rest.empty()) {
-                     const std::size_t comma = rest.find(',');
-                     const std::string token(comma == std::string_view::npos
-                                                 ? rest
-                                                 : rest.substr(0, comma));
-                     rest.remove_prefix(comma == std::string_view::npos
-                                            ? rest.size()
-                                            : comma + 1);
+                   for (const std::string_view item :
+                        railcorr::util::split_list(value, ",")) {
                      worker_threads.push_back(
-                         parse_u64_value("--threads", token));
-                   }
-                   if (worker_threads.empty()) {
-                     throw ConfigError("--threads expects N or N,N,...");
+                         parse_u64_value("--threads", std::string(item)));
                    }
                  }),
        // Testing aid: SIGKILL the *first* attempt of this shard after
