@@ -7,7 +7,9 @@
 #   3. run an --include-sizing grid as one sweep (cells share ISD
 #      searches, corridor worst cases and sizing jobs through the stage
 #      memo) and as one-cell shards (nothing to share), merge both and
-#      check the bytes agree,
+#      check the bytes agree, then run an --include-sizing grid that
+#      mixes a 2-rung and a 5-rung ladder in one rung wave at 1 and 4
+#      threads and as 3 shards, and check the bytes agree,
 #   4. run the first grid under --accuracy fast as one sweep and as 2
 #      shards, merge both and check the bytes agree and line 1 carries
 #      the fast-mode banner tag,
@@ -77,6 +79,40 @@ done
 "$BIN" merge --out "$TMP/memo_cells.csv" $cell_shards
 if ! cmp "$TMP/memo_cells.csv" "$TMP/memo_single.csv"; then
   echo "FAIL: one-cell shards differ from the memoized single sweep" >&2
+  exit 1
+fi
+
+# Mixed ladders: in each weather group's second rung wave the 2-rung
+# ladder's last rung (720 Wp, run over the full years) steps beside
+# the paper ladder's second (540 Wp, which stops at its first day of
+# downtime). Thread count and shard split must not show in the bytes.
+cat > "$TMP/ladders.sweep" <<'PLAN'
+base = paper
+set max_repeaters = 2
+set isd_search.isd_step_m = 100
+set isd_search.sample_step_m = 50
+set sizing.years = 1
+set sizing.locations = madrid, berlin, oslo
+axis sizing.ladder = 540:720;720:2880, 540:720;540:1440;600:1440;600:2160;720:2160
+axis timetable.trains_per_hour = 8, 20
+PLAN
+for threads in 1 4; do
+  "$BIN" sweep --plan "$TMP/ladders.sweep" --include-sizing \
+      --threads "$threads" --out "$TMP/ladders_t$threads.csv"
+done
+if ! cmp "$TMP/ladders_t1.csv" "$TMP/ladders_t4.csv"; then
+  echo "FAIL: mixed-ladder sweep differs between 1 and 4 threads" >&2
+  exit 1
+fi
+for i in 0 1 2; do
+  "$BIN" sweep --plan "$TMP/ladders.sweep" --include-sizing --shard "$i/3" \
+      --out "$TMP/ladders_shard$i.csv"
+done
+"$BIN" merge --out "$TMP/ladders_single.csv" "$TMP/ladders_t1.csv"
+"$BIN" merge --out "$TMP/ladders_sharded.csv" "$TMP/ladders_shard0.csv" \
+    "$TMP/ladders_shard1.csv" "$TMP/ladders_shard2.csv"
+if ! cmp "$TMP/ladders_sharded.csv" "$TMP/ladders_single.csv"; then
+  echo "FAIL: mixed-ladder shards differ from the single sweep" >&2
   exit 1
 fi
 

@@ -1,6 +1,7 @@
 #include "core/sweep_runner.hpp"
 
 #include <algorithm>
+#include <new>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -208,6 +209,36 @@ std::string render_row(const corridor::SweepPlan& plan, std::size_t index,
   return row;
 }
 
+/// Cells one process holds at most. Each owned cell keeps its index and
+/// bookkeeping (~64 bytes) and its row text (~100+ bytes) in memory
+/// until the document returns, so 2^32 cells would need hundreds of GB,
+/// and days of compute: such a grid has to be split into shards.
+constexpr std::size_t kMaxShardCells = std::size_t{1} << 32;
+
+/// The shard's ascending owned indices, or a ConfigError naming the
+/// grid and the shard's cell count when they cannot be held.
+std::vector<std::size_t> owned_indices(const corridor::SweepPlan& plan,
+                                       corridor::ShardSpec shard) {
+  const std::size_t grid = plan.size();
+  const std::size_t owned = shard.cell_count(grid);
+  const auto too_large = [&](std::size_t min_shards) {
+    return util::ConfigError(
+        "the plan's grid has " + std::to_string(grid) + " cells and shard " +
+        std::to_string(shard.index) + "/" + std::to_string(shard.count) +
+        " owns " + std::to_string(owned) +
+        " of them, more than one process can hold; split the grid with "
+        "--shard i/N, N >= " + std::to_string(min_shards));
+  };
+  if (owned > kMaxShardCells) {
+    throw too_large((grid - 1) / kMaxShardCells + 1);
+  }
+  try {
+    return shard.indices(grid);
+  } catch (const std::bad_alloc&) {
+    throw too_large(2 * shard.count);
+  }
+}
+
 }  // namespace
 
 DeepestDeployment deepest_deployment(const Scenario& scenario) {
@@ -282,7 +313,7 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   const std::string header =
       corridor::shard_header(plan, sweep_metric_columns(options));
   std::string document = banner + "\n" + header + "\n";
-  const auto indices = shard.indices(plan.size());
+  const auto indices = owned_indices(plan, shard);
 
   // Telemetry is observation only: timing wraps rows that are already
   // (or about to be) rendered by the unchanged evaluation paths, so
@@ -340,7 +371,7 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   // parallel region across the thread pool, each search's own per-N
   // region running inline inside it, and with include_sizing every
   // distinct sizing job in one size_jobs call, which synthesizes each
-  // distinct weather tuple once and steps all systems through it in SoA
+  // distinct weather tuple once and steps all systems through it in
   // batches. Both are bit-identical to the per-cell evaluator path, so
   // the emitted rows are byte-identical to evaluate_sweep_cell's (the
   // merge contract does not see the batching). Only the first cell of

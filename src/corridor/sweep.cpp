@@ -148,8 +148,13 @@ ShardSpec ShardSpec::parse(std::string_view text) {
   return spec;
 }
 
+std::size_t ShardSpec::cell_count(std::size_t grid_size) const {
+  return index < grid_size ? (grid_size - index - 1) / count + 1 : 0;
+}
+
 std::vector<std::size_t> ShardSpec::indices(std::size_t grid_size) const {
   std::vector<std::size_t> out;
+  out.reserve(cell_count(grid_size));
   for (std::size_t i = index; i < grid_size; i += count) out.push_back(i);
   return out;
 }

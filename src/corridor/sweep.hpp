@@ -94,6 +94,10 @@ struct ShardSpec {
   /// Parse "i/N" (0 <= i < N, N >= 1); throws util::ConfigError.
   static ShardSpec parse(std::string_view text);
 
+  /// Number of grid indices owned by this shard, counted without
+  /// listing them (a grid may fit in 64 bits but not in memory).
+  [[nodiscard]] std::size_t cell_count(std::size_t grid_size) const;
+
   /// Ascending grid indices owned by this shard.
   [[nodiscard]] std::vector<std::size_t> indices(std::size_t grid_size) const;
 };

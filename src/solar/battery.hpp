@@ -11,7 +11,7 @@ namespace railcorr::solar {
 /// A simple energy-reservoir battery model.
 class Battery {
  public:
-  /// Default round-trip efficiencies, shared with the SoA batched
+  /// Default round-trip efficiencies, shared with the batched
   /// off-grid engine (solar/offgrid.hpp) so both paths run the exact
   /// same arithmetic.
   static constexpr double kDefaultChargeEfficiency = 0.95;

@@ -27,95 +27,160 @@ std::vector<DailyIrradiance> synthesize_days(const Location& location,
 std::vector<OffGridReport> simulate_cases(
     std::span<const DailyIrradiance> days,
     std::span<const OffGridCase> cases) {
+  return simulate_cases(days, cases, {});
+}
+
+std::vector<OffGridReport> simulate_cases(
+    std::span<const DailyIrradiance> days,
+    std::span<const OffGridCase> cases,
+    std::span<const unsigned char> stoppable) {
   RAILCORR_EXPECTS(!days.empty());
+  RAILCORR_EXPECTS(stoppable.empty() || stoppable.size() == cases.size());
   const std::size_t n = cases.size();
   std::vector<OffGridReport> reports(n);
   if (n == 0) return reports;
 
-  // SoA battery/report state over the cases: the per-hour update below
-  // is the exact arithmetic of Battery::charge / Battery::discharge and
-  // the historical per-system day loop, evaluated per case in
-  // chronological order — so each slot of the result is bit-identical
-  // to an independent OffGridSimulator run over the same days.
+  // One live lane per case still stepping: its battery state, its
+  // report accumulators and the running minimum of its raw state of
+  // charge. The per-hour update below is the exact arithmetic of
+  // Battery::charge / Battery::discharge and the historical per-system
+  // day loop, evaluated per case in chronological order, so each report
+  // is bit-identical to an independent OffGridSimulator run over the
+  // same days. Lanes are independent, so dropping a stopped lane from
+  // the batch leaves every other lane's arithmetic untouched.
   constexpr double kChargeEff = Battery::kDefaultChargeEfficiency;
   constexpr double kDischargeEff = Battery::kDefaultDischargeEfficiency;
-  std::vector<double> soc(n);          // state of charge [Wh]; starts full
-  std::vector<double> capacity(n);
-  std::vector<double> cutoff_wh(n);    // cutoff_fraction * capacity
-  std::vector<double> full_level(n);   // capacity * (1 - 1e-9)
-  std::vector<double> pv_wp(n);
-  std::vector<double> one_minus_loss(n);
-  std::vector<int> full_days(n, 0);
-  std::vector<unsigned char> reached_full(n), any_unmet(n);
+  struct Lane {
+    std::size_t case_index = 0;
+    const double* pv = nullptr;    // this day's PV output [Wh] per hour
+    const double* load = nullptr;  // the case's hourly load [W]
+    double soc = 0.0;              // state of charge [Wh]; starts full
+    double capacity = 0.0;
+    double cutoff_wh = 0.0;        // cutoff_fraction * capacity
+    double full_level = 0.0;       // capacity * (1 - 1e-9)
+    double min_soc = 0.0;          // minimum soc seen [Wh]
+    double pv_wh = 0.0;
+    double load_wh = 0.0;
+    double curtailed_wh = 0.0;
+    double unserved_wh = 0.0;
+    int downtime_hours = 0;
+    int downtime_days = 0;
+    int full_days = 0;
+    bool stoppable = false;
+    bool reached_full = false;     // this day
+    bool any_unmet = false;        // this day
+  };
 
+  // Cases sharing an array share its hourly PV output: one 24-hour
+  // series per distinct (peak power, 1 - loss) pair, refreshed per day.
+  std::vector<std::pair<double, double>> arrays;
+  std::vector<std::size_t> array_of(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    const PvArray& array = cases[c].system.array;
+    const std::pair<double, double> key{array.peak_power_wp(),
+                                        1.0 - array.system_loss()};
+    const auto found = std::find(arrays.begin(), arrays.end(), key);
+    array_of[c] = static_cast<std::size_t>(found - arrays.begin());
+    if (found == arrays.end()) arrays.push_back(key);
+  }
+  std::vector<double> pv_day(arrays.size() * 24);
+
+  std::vector<Lane> lanes(n);
   for (std::size_t c = 0; c < n; ++c) {
     const OffGridSystem& system = cases[c].system;
     RAILCORR_EXPECTS(system.battery_capacity_wh > 0.0);
     RAILCORR_EXPECTS(system.battery_cutoff >= 0.0 &&
                      system.battery_cutoff < 1.0);
-    soc[c] = system.battery_capacity_wh;
-    capacity[c] = system.battery_capacity_wh;
-    cutoff_wh[c] = system.battery_cutoff * system.battery_capacity_wh;
-    full_level[c] = system.battery_capacity_wh * (1.0 - 1e-9);
-    pv_wp[c] = system.array.peak_power_wp();
-    one_minus_loss[c] = 1.0 - system.array.system_loss();
+    Lane& lane = lanes[c];
+    lane.case_index = c;
+    lane.pv = pv_day.data() + array_of[c] * 24;
+    lane.load = cases[c].consumption.hourly_watts.data();
+    lane.soc = system.battery_capacity_wh;
+    lane.capacity = system.battery_capacity_wh;
+    lane.cutoff_wh = system.battery_cutoff * system.battery_capacity_wh;
+    lane.full_level = system.battery_capacity_wh * (1.0 - 1e-9);
+    lane.min_soc = system.battery_capacity_wh;
+    lane.stoppable = !stoppable.empty() && stoppable[c] != 0;
   }
 
+  const auto finish = [&](const Lane& lane) {
+    OffGridReport& report = reports[lane.case_index];
+    report.days_with_full_battery_pct =
+        100.0 * static_cast<double>(lane.full_days) /
+        static_cast<double>(days.size());
+    report.downtime_days = lane.downtime_days;
+    report.downtime_hours = lane.downtime_hours;
+    report.unserved_energy = WattHours(lane.unserved_wh);
+    report.annual_pv_energy = WattHours(lane.pv_wh);
+    report.annual_load = WattHours(lane.load_wh);
+    report.curtailed_energy = WattHours(lane.curtailed_wh);
+    // Correctly rounded division by a positive capacity is monotone, so
+    // the minimum of the per-hour fractions is the fraction of the
+    // minimum state of charge, bit for bit.
+    report.min_soc_fraction = std::min(1.0, lane.min_soc / lane.capacity);
+  };
+
   for (const auto& day : days) {
-    std::fill(reached_full.begin(), reached_full.end(),
-              static_cast<unsigned char>(0));
-    std::fill(any_unmet.begin(), any_unmet.end(),
-              static_cast<unsigned char>(0));
-    for (int h = 0; h < 24; ++h) {
-      const double poa = day.poa_wh_m2[static_cast<std::size_t>(h)];
-      for (std::size_t c = 0; c < n; ++c) {
-        OffGridReport& report = reports[c];
+    for (std::size_t a = 0; a < arrays.size(); ++a) {
+      for (std::size_t h = 0; h < 24; ++h) {
         // PvArray::hourly_energy, with (1 - loss) hoisted (same value
         // every hour, so the product is unchanged).
-        const double pv = pv_wp[c] * poa / 1000.0 * one_minus_loss[c];
-        const double load =
-            cases[c].consumption.hourly_watts[static_cast<std::size_t>(h)];
-        report.annual_pv_energy += WattHours(pv);
-        report.annual_load += WattHours(load);
+        pv_day[a * 24 + h] =
+            arrays[a].first * day.poa_wh_m2[h] / 1000.0 * arrays[a].second;
+      }
+    }
+    for (Lane& lane : lanes) {
+      lane.reached_full = false;
+      lane.any_unmet = false;
+    }
+    for (std::size_t h = 0; h < 24; ++h) {
+      for (Lane& lane : lanes) {
+        const double pv = lane.pv[h];
+        const double load = lane.load[h];
+        lane.pv_wh += pv;
+        lane.load_wh += load;
 
         if (pv >= load) {
           // Battery::charge on the surplus; the load is served directly.
           const double stored_if_all = (pv - load) * kChargeEff;
-          const double headroom = capacity[c] - soc[c];
+          const double headroom = lane.capacity - lane.soc;
           const double stored = std::min(stored_if_all, headroom);
-          soc[c] += stored;
-          report.curtailed_energy +=
-              WattHours((stored_if_all - stored) / kChargeEff);
+          lane.soc += stored;
+          lane.curtailed_wh += (stored_if_all - stored) / kChargeEff;
         } else {
           // Battery::discharge toward the deficit.
           const double deficit = load - pv;
           const double wanted_from_cells = deficit / kDischargeEff;
-          const double available = std::max(0.0, soc[c] - cutoff_wh[c]);
+          const double available = std::max(0.0, lane.soc - lane.cutoff_wh);
           const double drawn = std::min(wanted_from_cells, available);
-          soc[c] -= drawn;
+          lane.soc -= drawn;
           const double delivered = drawn * kDischargeEff;
           if (delivered < deficit - 1e-9) {
-            any_unmet[c] = 1;
-            ++report.downtime_hours;
-            report.unserved_energy += WattHours(deficit - delivered);
+            lane.any_unmet = true;
+            ++lane.downtime_hours;
+            lane.unserved_wh += deficit - delivered;
           }
         }
-        if (soc[c] >= full_level[c]) reached_full[c] = 1;
-        report.min_soc_fraction =
-            std::min(report.min_soc_fraction, soc[c] / capacity[c]);
+        if (lane.soc >= lane.full_level) lane.reached_full = true;
+        lane.min_soc = std::min(lane.min_soc, lane.soc);
       }
     }
-    for (std::size_t c = 0; c < n; ++c) {
-      if (reached_full[c] != 0) ++full_days[c];
-      if (any_unmet[c] != 0) ++reports[c].downtime_days;
+    // Close the day; a stoppable lane with downtime leaves the batch.
+    std::size_t live = 0;
+    for (Lane& lane : lanes) {
+      if (lane.reached_full) ++lane.full_days;
+      if (lane.any_unmet) ++lane.downtime_days;
+      if (lane.stoppable && lane.any_unmet) {
+        finish(lane);
+      } else {
+        lanes[live++] = lane;
+      }
     }
+    lanes.resize(live);
+    if (lanes.empty()) break;
   }
 
-  for (std::size_t c = 0; c < n; ++c) {
-    reports[c].days_with_full_battery_pct =
-        100.0 * static_cast<double>(full_days[c]) /
-        static_cast<double>(days.size());
-  }
+  for (const Lane& lane : lanes) finish(lane);
   return reports;
 }
 

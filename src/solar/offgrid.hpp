@@ -67,15 +67,27 @@ struct OffGridCase {
 };
 
 /// Batched off-grid simulation: every case steps hour-by-hour through
-/// the same shared `days`, with the per-case battery/report state held
-/// in SoA arrays (cases are the vectorizable inner dimension). Each
-/// case's report is bit-identical to running OffGridSimulator over the
-/// same days on its own — per-hour updates touch only that case's
-/// state, in chronological order — which is what lets sweep grids
-/// collapse N independent simulations into one batched pass.
+/// the same shared `days`, cases being the inner loop and cases with
+/// the same PV array sharing its hourly output. Each case's report is
+/// bit-identical to running OffGridSimulator over the same days on its
+/// own — per-hour updates touch only that case's state, in
+/// chronological order — which is what lets sweep grids collapse N
+/// independent simulations into one batched pass.
 [[nodiscard]] std::vector<OffGridReport> simulate_cases(
     std::span<const DailyIrradiance> days,
     std::span<const OffGridCase> cases);
+
+/// simulate_cases for a sizing ladder walk, which needs no more than
+/// pass/fail from a rung that is not a cell's last. A case with
+/// `stoppable[c] != 0` leaves the batch at the end of its first day
+/// with unmet load; its report then covers only the days up to that
+/// one, so of it only `continuous_operation()` (false) is meaningful.
+/// Every other case's report is the full one, bit for bit. `stoppable`
+/// is empty (no case stops) or holds one flag per case.
+[[nodiscard]] std::vector<OffGridReport> simulate_cases(
+    std::span<const DailyIrradiance> days,
+    std::span<const OffGridCase> cases,
+    std::span<const unsigned char> stoppable);
 
 /// Simulates an off-grid system through a synthetic weather year.
 class OffGridSimulator {

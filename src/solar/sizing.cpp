@@ -66,10 +66,14 @@ struct LadderCell {
 
 /// Size every cell against the shared `days`, walking the ladders in
 /// rung waves: wave r simulates rung r of every still-unresolved cell
-/// as one SoA batch, and cells whose rung runs without downtime drop
-/// out. This does exactly the simulations of the sequential early-exit
+/// as one batch, and cells whose rung runs without downtime drop
+/// out. This does exactly the simulations of a sequential early-exit
 /// walk (and so chooses identical configurations, bit for bit) while
-/// keeping the SoA batch as wide as the unresolved set.
+/// keeping the batch as wide as the unresolved set. A rung that is
+/// not its cell's last is stoppable: the walk reads only
+/// continuous_operation() from it when it fails and overwrites its
+/// report on the next rung, so it may stop at its first day with unmet
+/// load. A last rung always runs the full years.
 std::vector<SizingResult> size_cells_shared(
     std::span<const DailyIrradiance> days,
     std::span<const LadderCell> cells) {
@@ -81,15 +85,18 @@ std::vector<SizingResult> size_cells_shared(
   }
 
   std::vector<OffGridCase> wave;
+  std::vector<unsigned char> stoppable;
   std::vector<std::size_t> next;
   for (std::size_t rung = 0; !unresolved.empty(); ++rung) {
     wave.clear();
+    stoppable.clear();
     for (const std::size_t c : unresolved) {
-      const SizingCandidate& candidate = (*cells[c].ladder)[rung];
-      wave.push_back(OffGridCase{system_of(candidate, *cells[c].options),
+      const std::vector<SizingCandidate>& ladder = *cells[c].ladder;
+      wave.push_back(OffGridCase{system_of(ladder[rung], *cells[c].options),
                                  *cells[c].consumption});
+      stoppable.push_back(rung + 1 < ladder.size() ? 1 : 0);
     }
-    const auto reports = simulate_cases(days, wave);
+    const auto reports = simulate_cases(days, wave, stoppable);
     next.clear();
     for (std::size_t i = 0; i < unresolved.size(); ++i) {
       const std::size_t c = unresolved[i];
@@ -134,22 +141,9 @@ SizingResult size_for_location(const Location& location,
   const auto days = synthesize_days(location, options.plane,
                                     options.weather, options.seed,
                                     options.years);
-  SizingResult result;
-  result.location = location;
-  for (const auto& candidate : ladder) {
-    const OffGridCase cell{system_of(candidate, options), consumption};
-    const auto report =
-        simulate_cases(days, std::span<const OffGridCase>(&cell, 1))
-            .front();
-    result.chosen = candidate;
-    result.report = report;
-    if (report.continuous_operation()) {
-      result.ladder_exhausted = false;
-      return result;
-    }
-    result.ladder_exhausted = true;
-  }
-  return result;  // largest candidate, possibly still with downtime
+  const LadderCell cell{&ladder, &consumption, &options, &location};
+  return size_cells_shared(days, std::span<const LadderCell>(&cell, 1))
+      .front();
 }
 
 std::vector<SizingResult> size_locations(
@@ -157,35 +151,9 @@ std::vector<SizingResult> size_locations(
     const ConsumptionProfile& consumption, const SizingOptions& options,
     const std::vector<SizingCandidate>& ladder) {
   RAILCORR_EXPECTS(!ladder.empty());
-  // With one thread — or inside a nested parallel region, where
-  // parallel_map executes inline — the sequential early-exit walk does
-  // strictly less work for the identical result (pinned by
-  // tests/solar/sizing_test.cpp).
-  if (exec::in_parallel_region() || exec::default_thread_count() <= 1) {
-    std::vector<SizingResult> results;
-    results.reserve(locations.size());
-    for (const auto& location : locations) {
-      results.push_back(
-          size_for_location(location, consumption, options, ladder));
-    }
-    return results;
-  }
-
-  // Parallel grid: one task per location synthesizes that site's
-  // weather once and walks the ladder against it (wave early-exit, one
-  // cell). Identical to the sequential walk at any thread count.
-  const auto per_location =
-      exec::parallel_map(locations.size(), [&](std::size_t l) {
-        const auto days =
-            synthesize_days(locations[l], options.plane, options.weather,
-                            options.seed, options.years);
-        const LadderCell cell{&ladder, &consumption, &options,
-                              &locations[l]};
-        return size_cells_shared(days,
-                                 std::span<const LadderCell>(&cell, 1))
-            .front();
-      });
-  return per_location;
+  return exec::parallel_map(locations.size(), [&](std::size_t l) {
+    return size_for_location(locations[l], consumption, options, ladder);
+  });
 }
 
 std::vector<SizingResult> size_paper_locations(
@@ -219,7 +187,7 @@ std::vector<std::vector<SizingResult>> size_jobs(
 
   // One parallel task per weather group: synthesize the shared days
   // once, then wave-walk every member cell's ladder against them
-  // (size_cells_shared keeps the SoA batch as wide as the unresolved
+  // (size_cells_shared keeps the batch as wide as the unresolved
   // member set per rung).
   const auto group_results = exec::parallel_map(
       groups.size(), [&](std::size_t g) {

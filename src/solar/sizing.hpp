@@ -47,23 +47,20 @@ struct SizingOptions {
   PlaneOfArray plane;  ///< vertical, equator-facing by default
 };
 
-/// Walk the ladder until a configuration runs without downtime
-/// (sequential early-exit; the single-site API).
+/// Walk the ladder until a configuration runs without downtime (the
+/// single-site API). The site's weather is synthesized once and every
+/// rung steps through it; a rung that is not the ladder's last stops at
+/// its first day with unmet load, since only its pass/fail is used.
 SizingResult size_for_location(const Location& location,
                                const ConsumptionProfile& consumption,
                                const SizingOptions& options = SizingOptions{},
                                const std::vector<SizingCandidate>& ladder =
                                    paper_sizing_ladder());
 
-/// Size many locations at once. The weather years are synthesized once
-/// per location (synthesis dominates each simulation) and every ladder
-/// candidate steps through them in one SoA batch (simulate_cases);
-/// locations evaluate through exec::parallel_map. Results are identical
-/// to calling size_for_location per site — every cell depends only on
-/// its fixed seed — and bit-identical at any thread count. When no
-/// concurrency is available (one thread, or called from inside a
-/// parallel region) the sequential early-exit walk runs instead: same
-/// results, fewer simulations.
+/// Size many locations at once: size_for_location per site through
+/// exec::parallel_map (inline at one thread or inside a parallel
+/// region). Every site depends only on its fixed seed, so the results
+/// are bit-identical at any thread count.
 std::vector<SizingResult> size_locations(
     const std::vector<Location>& locations,
     const ConsumptionProfile& consumption,
@@ -88,12 +85,12 @@ struct SizingJob {
 /// Run many sizing studies as ONE batched simulation: the weather-year
 /// sequence is synthesized once per distinct (location, plane, weather,
 /// seed, years) tuple across ALL jobs, and every system sharing a tuple
-/// steps through it in a single SoA pass. Sweep grids whose cells vary
+/// steps through it in a single batched pass. Sweep grids whose cells vary
 /// only non-sizing axes therefore pay for each location's weather once
 /// for the whole grid instead of once per cell. `result[j]` equals
-/// `size_locations(jobs[j].locations, ...)` element-wise, bit for bit
-/// (the full-grid reduction and the early-exit walk choose identical
-/// configurations by construction).
+/// `size_locations(jobs[j].locations, ...)` element-wise, bit for bit:
+/// both run the same rung-wave walk, whose per-case arithmetic does not
+/// depend on the other cases of its batch.
 std::vector<std::vector<SizingResult>> size_jobs(
     std::span<const SizingJob> jobs);
 

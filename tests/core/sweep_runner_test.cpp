@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <string>
 
 #include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
@@ -66,6 +67,29 @@ TEST(SweepRunner, ShardedRunsMergeToSingleProcessBytes) {
   const auto single = corridor::merge_shards({full});
   ASSERT_TRUE(single.ok);
   EXPECT_EQ(sharded.merged, single.merged);
+}
+
+TEST(SweepRunner, AShardTooLargeToHoldIsAConfigErrorSuggestingShards) {
+  // 42 two-value axes: 2^42 cells fit in size_t but no process holds
+  // their indices, let alone their rows. The shard is refused before
+  // anything is allocated for it.
+  std::string text = "base = paper\n";
+  for (int axis = 0; axis < 42; ++axis) {
+    text += "axis k" + std::to_string(axis) + " = 1, 2\n";
+  }
+  const auto plan = corridor::SweepPlan::from_spec(text);
+  ASSERT_EQ(plan.size(), std::size_t{1} << 42);
+  try {
+    (void)run_sweep_shard(plan, corridor::ShardSpec{1, 4});
+    FAIL() << "a 2^40-cell shard ran";
+  } catch (const util::ConfigError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("grid has 4398046511104 cells"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("shard 1/4 owns 1099511627776"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("--shard i/N, N >= 1024"), std::string::npos) << what;
+  }
 }
 
 TEST(SweepRunner, HeaderNamesEveryColumn) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -127,6 +128,22 @@ TEST(ShardSpec, ParseAndPartition) {
   EXPECT_EQ(seen.size(), 10u);
   EXPECT_EQ(*seen.begin(), 0u);
   EXPECT_EQ(*seen.rbegin(), 9u);
+}
+
+TEST(ShardSpec, CellCountIsTheIndexCountWithoutListingThem) {
+  for (std::size_t grid = 0; grid < 12; ++grid) {
+    for (std::size_t count = 1; count < 6; ++count) {
+      for (std::size_t index = 0; index < count; ++index) {
+        const ShardSpec shard{index, count};
+        EXPECT_EQ(shard.cell_count(grid), shard.indices(grid).size())
+            << index << "/" << count << " of " << grid;
+      }
+    }
+  }
+  const std::size_t huge = std::size_t{1} << 63;
+  EXPECT_EQ((ShardSpec{0, 1}.cell_count(huge)), huge);
+  EXPECT_EQ((ShardSpec{2, 3}.cell_count(huge)), (huge - 3) / 3 + 1);
+  EXPECT_EQ((ShardSpec{0, 2}.cell_count(SIZE_MAX)), SIZE_MAX / 2 + 1);
 }
 
 // ---- merge -------------------------------------------------------------

@@ -4,12 +4,14 @@
 /// accounting identities that must hold for every deployment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "core/scenario_spec.hpp"
 #include "core/sweep_runner.hpp"
 #include "corridor/capacity.hpp"
 #include "corridor/cost.hpp"
@@ -17,6 +19,7 @@
 #include "corridor/isd_search.hpp"
 #include "rf/uplink.hpp"
 #include "traffic/duty.hpp"
+#include "util/config.hpp"
 #include "util/rng.hpp"
 
 namespace railcorr {
@@ -289,6 +292,76 @@ TEST(RadioGridInvariants, SleepAndSolarSavingsLieInUnitInterval) {
           model.evaluate(geometry, mode).savings_vs(baseline);
       EXPECT_GE(savings, 0.0) << point.describe();
       EXPECT_LE(savings, 1.0) << point.describe();
+    }
+  }
+}
+
+// --- Model invariants over the ops_grid ranges ----------------------------
+
+/// A seeded operations point from the ranges of the ops_grid benchmark
+/// plans (night pause 3-7 h, LP sleep power 3.5-6 W, 2 or 3 segments,
+/// weather sigma 0.08-0.18), with an ascending ladder of train rates
+/// from its 4-20 trains/h range.
+struct OpsPoint {
+  std::string spec;  // every ops_grid key but timetable.trains_per_hour
+  std::vector<double> trains_per_hour;
+};
+
+std::vector<OpsPoint> ops_grid_points() {
+  Rng rng(0x0B5621D5ULL);
+  std::vector<OpsPoint> points;
+  for (int k = 0; k < 24; ++k) {
+    OpsPoint point;
+    point.spec =
+        "timetable.night_hours = " +
+        util::format_double(rng.uniform(3.0, 7.0)) +
+        "\nenergy.lp_node.p_sleep_w = " +
+        util::format_double(rng.uniform(3.5, 6.0)) +
+        "\ncorridor.segments = " + std::to_string(2 + rng.uniform_index(2)) +
+        "\nsizing.weather.kt_sigma = " +
+        util::format_double(rng.uniform(0.08, 0.18)) + "\n";
+    for (int t = 0; t < 6; ++t) {
+      point.trains_per_hour.push_back(rng.uniform(4.0, 20.0));
+    }
+    std::sort(point.trains_per_hour.begin(), point.trains_per_hour.end());
+    points.push_back(point);
+  }
+  return points;
+}
+
+TEST(OpsGridInvariants, SleepAndSolarEnergyAreNonDecreasingInTrainsPerHour) {
+  // More trains keep the nodes at full load longer and never shorten a
+  // sleep phase. The radio is the paper's at every point, so one ISD
+  // search serves them all.
+  const auto deepest = core::deepest_deployment(core::Scenario::paper());
+  ASSERT_GT(deepest.repeater_count, 0);
+  for (const auto& point : ops_grid_points()) {
+    double sleep_before = 0.0;
+    double solar_before = 0.0;
+    for (const double trains : point.trains_per_hour) {
+      core::Scenario scenario = core::Scenario::paper();
+      core::apply_spec(scenario,
+                       point.spec + "timetable.trains_per_hour = " +
+                           util::format_double(trains) + "\n");
+      corridor::SegmentGeometry geometry;
+      geometry.isd_m = deepest.isd_m;
+      geometry.repeater_count = deepest.repeater_count;
+      geometry.repeater_spacing_m = scenario.repeater_spacing_m;
+      const auto model = scenario.make_energy_model();
+      const double sleep =
+          model.evaluate(geometry, corridor::RepeaterOperationMode::kSleepMode)
+              .mains_wh_per_km_hour()
+              .value();
+      const double solar =
+          model
+              .evaluate(geometry,
+                        corridor::RepeaterOperationMode::kSolarPowered)
+              .mains_wh_per_km_hour()
+              .value();
+      EXPECT_GE(sleep, sleep_before) << point.spec << "trains=" << trains;
+      EXPECT_GE(solar, solar_before) << point.spec << "trains=" << trains;
+      sleep_before = sleep;
+      solar_before = solar;
     }
   }
 }

@@ -633,7 +633,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
     options.cache = &cache;
   }
 
-  const std::size_t owned = shard.indices(plan.size()).size();
+  const std::size_t owned = shard.cell_count(plan.size());
   if (progress) {
     std::cout << railcorr::orch::banner_line(
                      railcorr::corridor::shard_banner(plan))
