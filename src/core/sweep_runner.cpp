@@ -209,10 +209,12 @@ std::string render_row(const corridor::SweepPlan& plan, std::size_t index,
   return row;
 }
 
-/// Cells one process holds at most. Each owned cell keeps its index and
+/// Cells one shard may own. Each owned cell keeps its index and
 /// bookkeeping (~64 bytes) and its row text (~100+ bytes) in memory
-/// until the document returns, so 2^32 cells would need hundreds of GB,
-/// and days of compute: such a grid has to be split into shards.
+/// until the document returns, so a shard at this cap already needs
+/// hundreds of GB: the cap refuses, before allocating anything, shards
+/// no machine holds. It is an upper bound, not a promise that a smaller
+/// shard fits; one whose index list fails to allocate is refused too.
 constexpr std::size_t kMaxShardCells = std::size_t{1} << 32;
 
 /// The shard's ascending owned indices, or a ConfigError naming the
@@ -221,21 +223,24 @@ std::vector<std::size_t> owned_indices(const corridor::SweepPlan& plan,
                                        corridor::ShardSpec shard) {
   const std::size_t grid = plan.size();
   const std::size_t owned = shard.cell_count(grid);
-  const auto too_large = [&](std::size_t min_shards) {
+  const auto too_large = [&](const std::string& split) {
     return util::ConfigError(
         "the plan's grid has " + std::to_string(grid) + " cells and shard " +
         std::to_string(shard.index) + "/" + std::to_string(shard.count) +
         " owns " + std::to_string(owned) +
-        " of them, more than one process can hold; split the grid with "
-        "--shard i/N, N >= " + std::to_string(min_shards));
+        " of them, more than one process can hold; split the grid " + split);
   };
   if (owned > kMaxShardCells) {
-    throw too_large((grid - 1) / kMaxShardCells + 1);
+    // The fewest shards that bring every shard under the cap.
+    throw too_large("with --shard i/N, N >= " +
+                    std::to_string((grid - 1) / kMaxShardCells + 1));
   }
   try {
     return shard.indices(grid);
   } catch (const std::bad_alloc&) {
-    throw too_large(2 * shard.count);
+    // How many shards would fit depends on this machine's memory, which
+    // the allocation failure does not measure: name no number.
+    throw too_large("into more shards with --shard i/N");
   }
 }
 

@@ -26,12 +26,6 @@ std::vector<DailyIrradiance> synthesize_days(const Location& location,
 
 std::vector<OffGridReport> simulate_cases(
     std::span<const DailyIrradiance> days,
-    std::span<const OffGridCase> cases) {
-  return simulate_cases(days, cases, {});
-}
-
-std::vector<OffGridReport> simulate_cases(
-    std::span<const DailyIrradiance> days,
     std::span<const OffGridCase> cases,
     std::span<const unsigned char> stoppable) {
   RAILCORR_EXPECTS(!days.empty());

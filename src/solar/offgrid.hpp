@@ -73,21 +73,18 @@ struct OffGridCase {
 /// own — per-hour updates touch only that case's state, in
 /// chronological order — which is what lets sweep grids collapse N
 /// independent simulations into one batched pass.
-[[nodiscard]] std::vector<OffGridReport> simulate_cases(
-    std::span<const DailyIrradiance> days,
-    std::span<const OffGridCase> cases);
-
-/// simulate_cases for a sizing ladder walk, which needs no more than
-/// pass/fail from a rung that is not a cell's last. A case with
-/// `stoppable[c] != 0` leaves the batch at the end of its first day
-/// with unmet load; its report then covers only the days up to that
-/// one, so of it only `continuous_operation()` (false) is meaningful.
-/// Every other case's report is the full one, bit for bit. `stoppable`
-/// is empty (no case stops) or holds one flag per case.
+///
+/// `stoppable` is empty (no case stops) or holds one flag per case; it
+/// serves a sizing ladder walk, which needs no more than pass/fail from
+/// a rung that is not a cell's last. A case with `stoppable[c] != 0`
+/// leaves the batch at the end of its first day with unmet load; its
+/// report then covers only the days up to that one, so of it only
+/// `continuous_operation()` (false) is meaningful. Every other case's
+/// report is the full one, bit for bit.
 [[nodiscard]] std::vector<OffGridReport> simulate_cases(
     std::span<const DailyIrradiance> days,
     std::span<const OffGridCase> cases,
-    std::span<const unsigned char> stoppable);
+    std::span<const unsigned char> stoppable = {});
 
 /// Simulates an off-grid system through a synthetic weather year.
 class OffGridSimulator {

@@ -86,6 +86,26 @@ TEST(Sizing, CustomLadderRespected) {
   EXPECT_TRUE(result.report.continuous_operation());
 }
 
+TEST(Sizing, BatchedGridMatchesSequentialWalk) {
+  // The parallel locations x ladder grid must reproduce the sequential
+  // early-exit ladder walk exactly: same chosen candidate, same report.
+  const auto load = paper_load();
+  const auto batched = size_locations(paper_locations(), load);
+  ASSERT_EQ(batched.size(), 4u);
+  for (const auto& result : batched) {
+    const auto sequential = size_for_location(result.location, load);
+    EXPECT_EQ(result.chosen.pv_wp, sequential.chosen.pv_wp)
+        << result.location.name;
+    EXPECT_EQ(result.chosen.battery_wh, sequential.chosen.battery_wh);
+    EXPECT_EQ(result.ladder_exhausted, sequential.ladder_exhausted);
+    EXPECT_EQ(result.report.downtime_hours, sequential.report.downtime_hours);
+    EXPECT_EQ(result.report.annual_pv_energy.value(),
+              sequential.report.annual_pv_energy.value());
+    EXPECT_EQ(result.report.min_soc_fraction,
+              sequential.report.min_soc_fraction);
+  }
+}
+
 /// Restores automatic thread-count resolution even when an ASSERT
 /// bails out of the test body early.
 class SizingThreads : public ::testing::Test {
